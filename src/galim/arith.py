@@ -272,10 +272,10 @@ class BernoulliTable:
         return tuple(k for k, v in sorted(self.entries.items()) if v == 0)
 
 
-def bernoulli_mod_p(p: int, backend: str | None = None) -> BernoulliTable:
+def bernoulli_mod_p(p: int) -> BernoulliTable:
     if p < 5 or not is_prime(p):
         raise ValueError(f"bernoulli_mod_p needs a prime p >= 5, got {p}")
-    table = kernels.bernoulli_table_mod(p, backend=backend)
+    table = kernels.bernoulli_table_mod(p)
     entries = {k: int(table[k]) for k in range(2, p - 2, 2)}
     return BernoulliTable(p, entries)
 

@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from .arith import InternalInconsistencyError, is_prime, totient
-from .kernels import eta_scan
+from .kernels import _eta_exponents, eta_scan
 
 
 def proj_order_level1(p: int, a: int) -> int:
@@ -180,37 +180,26 @@ def case_i_cutoff(d: int) -> int:
         p += 1
 
 
-def eta_gcd_check(p: int, backend: str | None = None) -> list[int]:
+def eta_gcd_check(p: int) -> list[int]:
     """Exponents j in [1, p-2] violating the gcd <= 3 law (expected none).
 
-    Scans every j whose supersingular tame order is <= 5, skipping the
+    Checks every j whose supersingular tame order is <= 5, skipping the
     midpoint exponent, and returns those with gcd(j, p-1) > 3.
     """
     if p < 7 or not is_prime(p):
         raise ValueError(f"need a prime p >= 7, got {p}")
-    pairs = eta_scan(np.array([p], dtype=np.int64), backend=backend)
+    pairs = eta_scan(np.array([p], dtype=np.int64))
     return [int(j) for _, j in pairs]
 
 
 def eta_candidates(p: int) -> list[int]:
-    """Closed-form route to the same j set that eta_gcd_check scans.
+    """The j set that eta_gcd_check tests, in closed form.
 
     Admissible exponents satisfy j + 1 = m(p+1)/n with 1 <= m < n <= 5,
     gcd(m, n) = 1 and n | p+1, excluding the midpoint j + 1 = (p+1)/2.
-    Independent of the kernel scan; used to cross-check it.
+    This is the library's only route to the set; the independent route is
+    the full j-scan oracle in the tests.
     """
     if p < 7 or not is_prime(p):
         raise ValueError(f"need a prime p >= 7, got {p}")
-    out = set()
-    for n in range(2, 6):
-        if (p + 1) % n:
-            continue
-        for m in range(1, n):
-            if gcd(m, n) != 1:
-                continue
-            jp1 = m * (p + 1) // n
-            if 2 * jp1 == p + 1:
-                continue
-            if 2 <= jp1 <= p - 1:
-                out.add(jp1 - 1)
-    return sorted(out)
+    return _eta_exponents(p)

@@ -1,72 +1,22 @@
-"""Hot numeric loops with two interchangeable backends.
+"""Hot numeric loops, one numpy implementation each.
 
-Three inner loops dominate the toolkit's runtime: the O(p^2) mod-p Bernoulli
-convolution, the breadth-first projective closure over PGL2(Fq), and the full
-j-scan of the tame-order gcd check across a prime range.  Each has a numba
-@njit implementation and a vectorized pure-numpy fallback that must produce
-bit-identical results.  The active backend is chosen at import by the
-environment flag ``GALIM_BACKEND`` ("numba" or "numpy") and can be overridden
-per call or via :func:`set_backend`.  Only an unset flag defaults, to numba
-when importable and to numpy otherwise; an explicit "numba" without numba is
-refused at import with ValueError, as ``set_backend`` and ``backend=`` refuse
-it, and is never swapped for numpy.
+Three loops dominate the toolkit's runtime: the O(p^2) mod-p Bernoulli
+convolution, the breadth-first projective closure over PGL2(Fq), and the
+tame-order gcd check across a prime range.  The gcd check tests only the O(1)
+closed-form exponents per prime; the full j-scan it replaces is kept in the
+tests as its oracle.
 """
 
 from __future__ import annotations
 
-import os
+from math import gcd
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba missing: only the numpy backend is available
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_VALID = ("numba", "numpy")
-_backend = os.environ.get("GALIM_BACKEND", "numba" if HAVE_NUMBA else "numpy")
-if _backend not in _VALID:
-    raise ValueError(f"GALIM_BACKEND must be one of {_VALID}, got {_backend!r}")
-if _backend == "numba" and not HAVE_NUMBA:
-    raise ValueError("GALIM_BACKEND=numba requested but numba is not importable")
-
 
 def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}, got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def available_backends() -> tuple[str, ...]:
-    return _VALID if HAVE_NUMBA else ("numpy",)
-
-
-def _resolve(backend: str | None) -> str:
-    if backend is None:
-        return _backend
-    if backend not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}, got {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return backend
+    # kept only because the benchmark's child process records it per run
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -74,57 +24,7 @@ def _resolve(backend: str | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _powmod(base, exp, mod):
-    result = 1
-    base %= mod
-    while exp > 0:
-        if exp & 1:
-            result = result * base % mod
-        base = base * base % mod
-        exp >>= 1
-    return result
-
-
-@njit(cache=True)
-def _bernoulli_numba(p):
-    # B[k] = k-th Bernoulli number mod p for 0 <= k <= p-3, from the defining
-    # convolution sum_{j<=k} C(k+1,j) B_j = 0 run entirely mod p.  The Pascal
-    # row is updated in place (descending j keeps the old values live).
-    size = p - 2
-    B = np.zeros(size, dtype=np.int64)
-    row = np.zeros(p - 1, dtype=np.int64)
-    row[0] = 1
-    B[0] = 1
-    for n in range(1, p - 1):
-        for j in range(n, 0, -1):
-            row[j] = (row[j] + row[j - 1]) % p
-        k = n - 1
-        if k >= 1:
-            s = 0
-            for j in range(k):
-                s = (s + row[j] * B[j]) % p
-            # C(n, k) = n, so B_k = -s / n
-            B[k] = (p - s) % p * _powmod(n, p - 2, p) % p
-    return B
-
-
-def _bernoulli_numpy(p):
-    size = p - 2
-    B = np.zeros(size, dtype=np.int64)
-    row = np.zeros(p - 1, dtype=np.int64)
-    row[0] = 1
-    B[0] = 1
-    for n in range(1, p - 1):
-        row[1 : n + 1] = (row[1 : n + 1] + row[0:n]) % p
-        k = n - 1
-        if k >= 1:
-            s = int((row[:k] * B[:k] % p).sum() % p)
-            B[k] = (p - s) % p * pow(n, p - 2, p) % p
-    return B
-
-
-def bernoulli_table_mod(p: int, backend: str | None = None) -> np.ndarray:
+def bernoulli_table_mod(p: int) -> np.ndarray:
     """All Bernoulli numbers mod p as an int64 array indexed 0..p-3.
 
     Requires p >= 5 and p < 2^31 so every intermediate fits in int64.
@@ -133,83 +33,54 @@ def bernoulli_table_mod(p: int, backend: str | None = None) -> np.ndarray:
         raise ValueError("mod-p Bernoulli table needs p >= 5")
     if p >= 1 << 31:
         raise ValueError("mod-p Bernoulli table needs p < 2^31")
-    if _resolve(backend) == "numba":
-        return _bernoulli_numba(p)
-    return _bernoulli_numpy(p)
+    # B[k] from the defining convolution sum_{j<=k} C(k+1,j) B_j = 0 run
+    # entirely mod p; row holds the Pascal row C(n, .)
+    B = np.zeros(p - 2, dtype=np.int64)
+    row = np.zeros(p - 1, dtype=np.int64)
+    row[0] = 1
+    B[0] = 1
+    for n in range(1, p - 1):
+        row[1 : n + 1] = (row[1 : n + 1] + row[0:n]) % p
+        k = n - 1
+        if k >= 1:
+            s = int((row[:k] * B[:k] % p).sum() % p)
+            # C(n, k) = n, so B_k = -s / n
+            B[k] = (p - s) % p * pow(n, p - 2, p) % p
+    return B
 
 
 # ---------------------------------------------------------------------------
-# Tame-order gcd scan
+# Tame-order gcd check
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _gcd64(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+# private so that the per-layer trace, which wraps public names only, keeps
+# the eta time inside eta_scan; inertia.eta_candidates shares it
+def _eta_exponents(p: int) -> list[int]:
+    """Sorted j in [1, p-2] whose projective tame order (p+1)/gcd(j+1, p+1)
+    is at most 5, excluding the midpoint j+1 = (p+1)/2.  Needs p >= 7.
+
+    That order is n exactly when j+1 = m(p+1)/n with gcd(m, n) = 1 and
+    n | p+1; n = 1 needs j+1 = p+1, out of range, and n = 2 is the midpoint.
+    For p >= 7 every such j+1 lies in [2, p-1].
+    """
+    out = []
+    for n in (3, 4, 5):
+        if (p + 1) % n:
+            continue
+        out.extend(m * (p + 1) // n - 1 for m in range(1, n) if gcd(m, n) == 1)
+    return sorted(out)
 
 
-@njit(cache=True)
-def _eta_scan_numba(primes):
-    cap = 256
-    out = np.empty((cap, 2), dtype=np.int64)
-    cnt = 0
-    for idx in range(primes.shape[0]):
-        p = primes[idx]
-        half = (p + 1) // 2
-        # (p+1)//gcd(j+1, p+1) <= 5 iff (p+1)/k divides j+1 for some
-        # k <= 5 dividing p+1 (k = 1 needs j+1 = p+1, out of range), so
-        # the hot loop tests at most four loop-invariant moduli per j
-        m2 = (p + 1) // 2 if (p + 1) % 2 == 0 else 0
-        m3 = (p + 1) // 3 if (p + 1) % 3 == 0 else 0
-        m4 = (p + 1) // 4 if (p + 1) % 4 == 0 else 0
-        m5 = (p + 1) // 5 if (p + 1) % 5 == 0 else 0
-        for j in range(1, p - 1):
-            t = j + 1
-            hit = m2 != 0 and t % m2 == 0
-            if not hit and m3 != 0:
-                hit = t % m3 == 0
-            if not hit and m4 != 0:
-                hit = t % m4 == 0
-            if not hit and m5 != 0:
-                hit = t % m5 == 0
-            if hit and t != half and _gcd64(j, p - 1) > 3:
-                if cnt == cap:
-                    cap *= 2
-                    grown = np.empty((cap, 2), dtype=np.int64)
-                    grown[:cnt] = out[:cnt]
-                    out = grown
-                out[cnt, 0] = p
-                out[cnt, 1] = j
-                cnt += 1
-    return out[:cnt].copy()
-
-
-def _eta_scan_numpy(primes):
-    hits = []
-    for p in primes.tolist():
-        j = np.arange(1, p - 1, dtype=np.int64)
-        g = np.gcd(j + 1, p + 1)
-        mask = ((p + 1) // g <= 5) & (j + 1 != (p + 1) // 2)
-        if mask.any():
-            jj = j[mask]
-            bad = jj[np.gcd(jj, p - 1) > 3]
-            for b in bad.tolist():
-                hits.append((p, b))
-    return np.array(hits, dtype=np.int64).reshape(len(hits), 2)
-
-
-def eta_scan(primes, backend: str | None = None) -> np.ndarray:
-    """Full j in [1, p-2] scan per prime; rows (p, j) where the projective
-    tame order is <= 5, j+1 is not the excluded midpoint (p+1)/2, and yet
-    gcd(j, p-1) > 3.  Expected empty."""
+def eta_scan(primes) -> np.ndarray:
+    """Rows (p, j), j in [1, p-2], where the projective tame order is <= 5,
+    j+1 is not the excluded midpoint (p+1)/2, and yet gcd(j, p-1) > 3.
+    Expected empty."""
     arr = np.asarray(primes, dtype=np.int64)
     if arr.size and int(arr.min()) < 7:
         raise ValueError("eta scan needs primes >= 7")
-    if _resolve(backend) == "numba":
-        return _eta_scan_numba(arr)
-    return _eta_scan_numpy(arr)
+    hits = [(p, j) for p in arr.tolist() for j in _eta_exponents(p) if gcd(j, p - 1) > 3]
+    return np.array(hits, dtype=np.int64).reshape(len(hits), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,80 +92,22 @@ def eta_scan(primes, backend: str | None = None) -> np.ndarray:
 # (m0, m1, m2, m3) packs into ((m0*q + m1)*q + m2)*q + m3 < q^4 <= 2^63.
 
 
-@njit(cache=True)
-def _gf_mul(a, b, p, nr, r):
-    if r == 1:
-        return a * b % p
-    a0 = a % p
-    a1 = a // p
-    b0 = b % p
-    b1 = b // p
-    c0 = (a0 * b0 + nr * (a1 * b1)) % p
-    c1 = (a0 * b1 + a1 * b0) % p
-    return c0 + p * c1
-
-
-@njit(cache=True)
-def _gf_add(a, b, p, r):
-    if r == 1:
-        return (a + b) % p
-    return (a % p + b % p) % p + p * ((a // p + b // p) % p)
-
-
-@njit(cache=True)
-def _closure_numba(gens, p, r, nr, inv_table, budget):
-    q = p * p if r == 2 else p
-    id_code = q * q * q + 1
-    queue = np.empty(budget + 1, dtype=np.int64)
-    queue[0] = id_code
-    seen = {id_code: True}
-    head = 0
-    count = 1
-    ngens = gens.shape[0]
-    while head < count:
-        mcode = queue[head]
-        head += 1
-        m3 = mcode % q
-        t = mcode // q
-        m2 = t % q
-        t //= q
-        m1 = t % q
-        m0 = t // q
-        for gi in range(ngens):
-            gc = gens[gi]
-            g3 = gc % q
-            t2 = gc // q
-            g2 = t2 % q
-            t2 //= q
-            g1 = t2 % q
-            g0 = t2 // q
-            c0 = _gf_add(_gf_mul(m0, g0, p, nr, r), _gf_mul(m1, g2, p, nr, r), p, r)
-            c1 = _gf_add(_gf_mul(m0, g1, p, nr, r), _gf_mul(m1, g3, p, nr, r), p, r)
-            c2 = _gf_add(_gf_mul(m2, g0, p, nr, r), _gf_mul(m3, g2, p, nr, r), p, r)
-            c3 = _gf_add(_gf_mul(m2, g1, p, nr, r), _gf_mul(m3, g3, p, nr, r), p, r)
-            lead = c0
-            if lead == 0:
-                lead = c1
-            if lead == 0:
-                lead = c2
-            if lead == 0:
-                lead = c3
-            il = inv_table[lead]
-            c0 = _gf_mul(c0, il, p, nr, r)
-            c1 = _gf_mul(c1, il, p, nr, r)
-            c2 = _gf_mul(c2, il, p, nr, r)
-            c3 = _gf_mul(c3, il, p, nr, r)
-            code = ((c0 * q + c1) * q + c2) * q + c3
-            if code not in seen:
-                if count == budget:
-                    return np.sort(queue[:count]), True
-                seen[code] = True
-                queue[count] = code
-                count += 1
-    return np.sort(queue[:count]), False
-
-
-def _closure_numpy(gens, p, r, nr, inv_table, budget):
+def closure_codes(
+    gens,
+    p: int,
+    r: int,
+    nr: int,
+    inv_table,
+    budget: int,
+) -> tuple[np.ndarray, bool]:
+    """BFS closure of scalar-normalized packed generator codes under right
+    multiplication, starting at the identity.  Returns (sorted codes,
+    overflowed); the code array is only meaningful when overflowed is False.
+    """
+    if budget < 1:
+        raise ValueError("closure budget must be >= 1")
+    gens = np.asarray(gens, dtype=np.int64)
+    inv_table = np.asarray(inv_table, dtype=np.int64)
     q = p * p if r == 2 else p
 
     def gmul(a, b):
@@ -347,25 +160,3 @@ def _closure_numpy(gens, p, r, nr, inv_table, budget):
         visited = np.union1d(visited, new)
         frontier = new
     return visited, False
-
-
-def closure_codes(
-    gens,
-    p: int,
-    r: int,
-    nr: int,
-    inv_table,
-    budget: int,
-    backend: str | None = None,
-) -> tuple[np.ndarray, bool]:
-    """BFS closure of scalar-normalized packed generator codes under right
-    multiplication, starting at the identity.  Returns (sorted codes,
-    overflowed); the code array is only meaningful when overflowed is False.
-    """
-    if budget < 1:
-        raise ValueError("closure budget must be >= 1")
-    arr = np.asarray(gens, dtype=np.int64)
-    inv = np.asarray(inv_table, dtype=np.int64)
-    if _resolve(backend) == "numba":
-        return _closure_numba(arr, p, r, nr, inv, budget)
-    return _closure_numpy(arr, p, r, nr, inv, budget)

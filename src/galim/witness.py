@@ -18,6 +18,7 @@ the output is byte-identical for every job count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -198,9 +199,9 @@ def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int]]:
 def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
     """Run a witness family over all primes in [lo, hi], inclusive.
 
-    jobs > 1 splits the range into contiguous chunks handled by worker
-    processes; aggregation happens after the in-order merge, so the report
-    never depends on the job count.
+    jobs > 1 splits the range into that many contiguous chunks, handled by
+    at most os.cpu_count() worker processes; aggregation happens after the
+    in-order merge, so the report never depends on the job count.
     """
     if kind not in SCAN_KINDS:
         raise ValueError(f"kind must be one of {SCAN_KINDS}, got {kind!r}")
@@ -217,7 +218,8 @@ def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
             for i in range(jobs)
             if bounds[i] <= bounds[i + 1] - 1
         ]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        workers = min(len(spans), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_chunk, [kind] * len(spans), *zip(*spans)))
 
     items: list = []

@@ -241,16 +241,6 @@ class TestEtaRoutes:
             ]
             assert inertia.eta_candidates(p) == want, p
 
-    def test_backend_parity(self):
-        from galim import kernels
-
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba missing")
-        for p in (11, 101, 997):
-            assert inertia.eta_gcd_check(p, backend="numba") == inertia.eta_gcd_check(
-                p, backend="numpy"
-            )
-
     def test_rejects_bad_primes(self):
         with pytest.raises(ValueError):
             inertia.eta_gcd_check(5)

@@ -166,3 +166,26 @@ class TestScan:
     def test_more_jobs_than_primes(self):
         base = witness.scan("borel", 2, 12)
         assert witness.scan("borel", 2, 12, jobs=32) == base
+
+    @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1)])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(witness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(witness.os, "cpu_count", lambda: cpus)
+        base = witness.scan("eta", 7, 4000)
+        assert witness.scan("eta", 7, 4000, jobs=100_000) == base
+        assert seen == [workers]
