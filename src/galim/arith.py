@@ -4,7 +4,8 @@ Deterministic primality below 2^62, the Kronecker symbol in full generality,
 multiplicative orders, totients, Bernoulli numbers both as exact rationals and
 as a mod-p table built by the same convolution run entirely mod p, irregular
 indices, and the primorial totient-ratio report whose values approach
-exp(-gamma) = 0.56146... from below.
+exp(-gamma) = 0.56146... from below.  ``factorize`` trial-divides by the
+primes below 2^16, a list built once per process on its first call.
 """
 
 from __future__ import annotations
@@ -143,12 +144,18 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
+_trial_primes: list[int] = []
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
+    global _trial_primes
     if n < 1:
         raise ValueError("factorize needs n >= 1")
+    if not _trial_primes:
+        _trial_primes = primes_up_to(1 << 16).tolist()
     out: dict[int, int] = {}
-    for q in primes_up_to(1 << 16).tolist():
+    for q in _trial_primes:
         if q * q > n:
             break
         while n % q == 0:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import divisors, factorize, kronecker, totient
+from .arith import divisors, factorize, is_prime, kronecker, totient
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def dim_J1_prime(p: int) -> int:
 
     Cross-checked against the general-level genus route on every call.
     """
-    if p < 5 or factorize(p) != {p: 1}:
+    if p < 5 or not is_prime(p):
         raise ValueError(f"need a prime >= 5, got {p}")
     d = (p - 5) * (p - 7) // 24
     if (p - 5) * (p - 7) % 24:

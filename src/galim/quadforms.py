@@ -35,6 +35,12 @@ from .arith import (
 )
 from .cyclotomic import CycloValue
 
+# Entries kept by each memoised table below (reduced forms, class groups,
+# splitting logs), so memory stays bounded however long a scan runs.  A scan
+# moves through its discriminants in order and never returns to one, so the
+# least recently used entries it drops are never needed again.
+CACHE_MAXSIZE = 1024
+
 
 def _check_disc(d: int) -> int:
     """Validate a discriminant -p with p prime, p = 3 mod 4, p >= 7."""
@@ -93,7 +99,7 @@ def reduce_form(form: QuadForm) -> QuadForm:
     return QuadForm(a, b, c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def reduced_forms(d: int) -> tuple[QuadForm, ...]:
     """All reduced forms of discriminant d, sorted lexicographically."""
     _check_disc(d)
@@ -303,7 +309,7 @@ def _sylow_basis(
     return basis, orders
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def class_group(d: int) -> ClassGroup:
     """Full class group with discrete logarithms, cross-checked two ways."""
     p = _check_disc(d)
@@ -468,7 +474,7 @@ def prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
     return PrimeSplitting(ell, "split", (f, fbar))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _splitting_dlog(d: int, ell: int) -> tuple[str, tuple[int, ...] | None]:
     grp = class_group(d)
     sp = prime_ideal_class(d, ell)

@@ -5,8 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galim import arith
+
+# Primes on both sides of the 2^16 trial-division cutoff: a product of two
+# above it has no trial divisor and goes to Pollard-Brent.
+_NEAR_CUTOFF = arith.primes_in_range((1 << 16) - 3000, (1 << 16) + 3000)
 
 
 def naive_is_prime(n: int) -> bool:
@@ -138,6 +144,48 @@ class TestFactorization:
             a, b = rng.choice(small_primes), rng.choice(small_primes)
             fac = arith.factorize(a * b)
             assert fac == ({a: 2} if a == b else {a: 1, b: 1})
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 10**12)
+        | st.builds(
+            lambda a, b: a * b, st.sampled_from(_NEAR_CUTOFF), st.sampled_from(_NEAR_CUTOFF)
+        )
+    )
+    @example(65537 * 65539)
+    @example(65521 * 65537)
+    def test_factorization_properties(self, n):
+        fac = arith.factorize(n)
+        assert math.prod(q**e for q, e in fac.items()) == n
+        assert all(arith.is_prime(q) for q in fac)
+        assert list(fac) == sorted(fac)
+        assert all(e >= 1 for e in fac.values())
+
+    def test_independent_of_sieve_growth(self, monkeypatch):
+        rng = random.Random(17)
+        ns = [rng.randrange(1, 10**12) for _ in range(200)] + [65537 * 65539]
+        before = [arith.factorize(n) for n in ns]
+        arith.primes_up_to(10**6)
+        monkeypatch.setattr(arith, "_trial_primes", [])  # rebuilt from the grown sieve
+        assert [arith.factorize(n) for n in ns] == before
+        assert arith._trial_primes == arith.primes_up_to(1 << 16).tolist()
+
+    def test_trial_primes_built_once(self, monkeypatch):
+        calls = []
+        sieve = arith.primes_up_to
+
+        def counting(n):
+            calls.append(n)
+            return sieve(n)
+
+        monkeypatch.setattr(arith, "primes_up_to", counting)
+        monkeypatch.setattr(arith, "_trial_primes", [])
+        arith.factorize(2)
+        assert calls == [1 << 16]
+        calls.clear()
+        for n in range(1, 1001):
+            arith.factorize(n)
+        assert calls == []
 
     def test_divisors(self):
         for n in (1, 12, 28, 97, 360, 1024):

@@ -1,12 +1,13 @@
 """Witness constructions per prime and the multi-process range scans."""
 
+import functools
 import math
 import pickle
 
 import pytest
 
-from galim import witness
-from galim.arith import totient
+from galim import quadforms, witness
+from galim.arith import primes_in_range, totient
 from galim.cyclotomic import CycloValue
 from galim.witness import RegularPrimeError, TrivialClassGroupError
 
@@ -144,6 +145,19 @@ class TestScan:
         assert rep.aggregates["ratio_max"] == pytest.approx(
             2 * math.log(7) / math.log(71)
         )
+
+    def test_caches_stay_bounded_over_a_long_scan(self, monkeypatch):
+        bound = quadforms.CACHE_MAXSIZE
+        for cached in (quadforms.reduced_forms, quadforms.class_group, quadforms._splitting_dlog):
+            assert cached.cache_info().maxsize == bound
+        hi = 20000
+        assert sum(p % 4 == 3 for p in primes_in_range(7, hi)) > bound
+        rep = witness.scan("brauer_siegel", 7, hi)
+        assert quadforms.reduced_forms.cache_info().currsize == bound
+        unbounded = functools.lru_cache(maxsize=None)(quadforms.reduced_forms.__wrapped__)
+        monkeypatch.setattr(quadforms, "reduced_forms", unbounded)
+        assert witness.scan("brauer_siegel", 7, hi) == rep
+        assert unbounded.cache_info().currsize > bound
 
     def test_invalid_kind_and_range(self):
         with pytest.raises(ValueError):
