@@ -5,8 +5,9 @@ the toolkit version, a list of item records and free-form notes.  JSON
 output is byte-stable (sorted keys, exact integers, rationals as "num/den",
 cyclotomic integers as coefficient lists tagged with their order).  CSV is
 offered only for ``scan``, whose items are flat rows.  Exit codes: 0 on
-success, 2 on domain errors (regular prime, trivial class group, closure
-overflow), 1 on usage errors.
+success, 2 on domain errors (regular prime, trivial class group), 1 on usage
+errors.  ``dickson classify`` takes the group order from Schreier-Sims and
+lists the elements only of small groups, so it has no size limit to set.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -154,14 +154,10 @@ def _parse_gen(field: dickson.GFq, spec: str) -> dickson.Mat2:
 def _cmd_dickson(args) -> ReportEnvelope:
     field = _parse_field(args.field)
     gens = [_parse_gen(field, g) for g in args.gen]
-    if args.budget is not None:
-        budget = args.budget
-    else:
-        budget = int(os.environ.get("GIL_MAX_CLOSURE", dickson.DEFAULT_CLOSURE_BUDGET))
-    report = dickson.classify(gens, budget=budget)
+    report = dickson.classify(gens)
     return ReportEnvelope(
         "dickson classify",
-        {"field": args.field, "gen": list(args.gen), "budget": budget},
+        {"field": args.field, "gen": list(args.gen)},
         __version__,
         [report],
         [f"projective closure has {report.group_order} elements"],
@@ -331,7 +327,6 @@ def _build_parser() -> _Parser:
     pc = dick_sub.add_parser("classify", parents=[common])
     pc.add_argument("--field", required=True, help="p or p,r")
     pc.add_argument("--gen", action="append", required=True, help='"a,b,c,d", repeatable')
-    pc.add_argument("--budget", type=int, default=None)
     pc.set_defaults(handler=_cmd_dickson)
 
     p = sub.add_parser("inertia", parents=[common])
@@ -386,11 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         envelope = args.handler(args)
         rendered = _render(envelope, args.format)
-    except (
-        witness.RegularPrimeError,
-        witness.TrivialClassGroupError,
-        dickson.ClosureOverflowError,
-    ) as exc:
+    except (witness.RegularPrimeError, witness.TrivialClassGroupError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except (_UsageError, ValueError) as exc:

@@ -1,9 +1,13 @@
 """Classification of matrix-generated subgroups of PGL2 over small fields.
 
 A subgroup is handed over as a list of invertible 2x2 matrices over F_q,
-q = p or p^2 with p an odd prime.  ``closure`` computes the full projective
-group (scalar-normalized matrices, first nonzero entry 1) up to a size
-budget; ``classify`` then walks a decision cascade:
+q = p or p^2 with p an odd prime.  ``group_order`` computes the order of
+the projective image by Schreier-Sims on the q+1 points of P^1(F_q), and
+``closure`` lists its elements (scalar-normalized matrices, first nonzero
+entry 1) for groups of at most MAX_CLOSURE_ORDER elements.  ``classify``
+takes the order from ``group_order``, lists the elements only for the small
+groups whose normalizer search or order statistics read them, and walks a
+decision cascade:
 
   1. a common rational fixed line          -> reducible (Borel)
   2. a preserved unordered pair of lines   -> Cartan / Cartan-normalizer,
@@ -26,17 +30,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .arith import InternalInconsistencyError, is_prime, kronecker
 from .kernels import closure_codes
 
-DEFAULT_CLOSURE_BUDGET = 200_000
-
-
-class ClosureOverflowError(RuntimeError):
-    """The projective closure exceeded the element budget."""
+# closure() lists every element, so it refuses larger groups
+MAX_CLOSURE_ORDER = 200_000
 
 
 class GFq:
@@ -233,17 +235,22 @@ def _common_field(generators: list[Mat2]) -> GFq:
     return field
 
 
-def closure(generators: list[Mat2], budget: int = DEFAULT_CLOSURE_BUDGET) -> frozenset[Mat2] | None:
-    """Projective closure as scalar-normalized matrices; None on overflow."""
+def closure(generators: list[Mat2]) -> frozenset[Mat2]:
+    """Projective closure as scalar-normalized matrices.
+
+    Raises ValueError, before listing anything, when the group has more than
+    MAX_CLOSURE_ORDER elements.
+    """
     field = _common_field(generators)
+    n = group_order(generators)
+    if n > MAX_CLOSURE_ORDER:
+        raise ValueError(
+            f"projective closure has {n} elements, above the listing limit {MAX_CLOSURE_ORDER}"
+        )
     gens = np.array(
         sorted({_pack(g.scalar_normalized()) for g in generators}), dtype=np.int64
     )
-    codes, overflow = closure_codes(
-        gens, field.p, field.r, field.nonresidue or 0, field.inv_table(), budget
-    )
-    if overflow:
-        return None
+    codes = closure_codes(gens, field.p, field.r, field.nonresidue or 0, field.inv_table())
     return frozenset(_unpack(int(c), field) for c in codes)
 
 
@@ -329,6 +336,84 @@ def _moebius_ext(m: Mat2, z: tuple[int, int]) -> tuple[int, int]:
     return f.mul(out[0], s), f.mul(out[1], s)
 
 
+# ---------------------------------------------------------------------------
+# Group order by Schreier-Sims on the projective line
+# ---------------------------------------------------------------------------
+
+
+def group_order(generators: list[Mat2]) -> int:
+    """Order of the projective image of the generators in PGL2(F_q).
+
+    Deterministic Schreier-Sims (Sims 1970; Seress 2003) for the
+    action of ``_moebius`` on the q+1 slope codes of P^1(F_q), with base
+    (infinity, 0, 1).  PGL2(F_q) acts sharply 3-transitively, so the
+    pointwise stabilizer of the base is trivial and the order is the product
+    of the three basic orbit lengths.  Group elements stay 2x2 matrices, with
+    the adjugate as projective inverse, so memory grows like q, not q^2.
+    """
+    field = _common_field(generators)
+    one = identity_mat(field)
+    base = (field.q, 0, 1)
+    depth = len(base)
+    strong: list[list[Mat2]] = [[g for g in generators if not g.is_scalar()], [], []]
+    # transversals[i] maps each point y of the i-th basic orbit to a u with
+    # u . base[i] = y
+    transversals: list[dict[int, Mat2]] = [{} for _ in base]
+
+    def sift(g: Mat2, start: int) -> tuple[Mat2, int]:
+        # strip g level by level; returns the residue and the level it
+        # dropped out at, or depth when it passed every level
+        for i in range(start, depth):
+            u = transversals[i].get(_moebius(g, base[i]))
+            if u is None:
+                return g, i
+            g = u.adjugate() * g
+        return g, depth
+
+    def first_failure(i: int) -> tuple[Mat2, int] | None:
+        # the first Schreier generator of level i that does not sift through
+        # the levels below it
+        orbit = transversals[i]
+        for x, u in orbit.items():
+            for s in strong[i]:
+                h, j = sift(orbit[_moebius(s, x)].adjugate() * (s * u), i + 1)
+                if j < depth:
+                    return h, j
+                if not h.is_scalar():
+                    raise InternalInconsistencyError(
+                        f"{h} fixes infinity, 0 and 1 but is not scalar"
+                    )
+        return None
+
+    i = depth - 1
+    while i >= 0:
+        transversals[i] = _orbit_transversal(base[i], strong[i], one)
+        failure = first_failure(i)
+        if failure is None:
+            i -= 1
+            continue
+        h, j = failure
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+        i = j
+    return prod(len(t) for t in transversals)
+
+
+def _orbit_transversal(point: int, gens: list[Mat2], one: Mat2) -> dict[int, Mat2]:
+    """Orbit of a slope code under gens, each image y mapped to a product u
+    of generators with u . point = y."""
+    out = {point: one}
+    queue = [point]
+    for x in queue:
+        u = out[x]
+        for s in gens:
+            y = _moebius(s, x)
+            if y not in out:
+                out[y] = s * u
+                queue.append(y)
+    return out
+
+
 def _preserves_rational_pair(m: Mat2, pair: frozenset[int]) -> bool:
     return all(_moebius(m, t) in pair for t in pair)
 
@@ -376,16 +461,15 @@ def _order_statistics(elements: frozenset[Mat2]) -> dict[int, int]:
     return dict(Counter(projective_order(m) for m in elements))
 
 
-def classify(generators: list[Mat2], budget: int = DEFAULT_CLOSURE_BUDGET) -> DicksonReport:
+def classify(generators: list[Mat2]) -> DicksonReport:
     """Full decision cascade for the projective image of the generators."""
     field = _common_field(generators)
     p, r, q = field.p, field.r, field.q
     if p < 7:
         raise ValueError(f"classification needs p >= 7, got {p}")
-    elements = closure(generators, budget)
-    if elements is None:
-        raise ClosureOverflowError(f"projective closure exceeds budget {budget}")
-    n = len(elements)
+    n = group_order(generators)
+    # only the normalizer search and the order statistics read the elements
+    elements = closure(generators) if n <= max(60, 2 * (q + 1)) else None
 
     nonscalar_gens = [g.scalar_normalized() for g in generators if not g.is_scalar()]
     # dedupe while preserving determinism

@@ -2,9 +2,10 @@
 
 Three loops dominate the toolkit's runtime: the O(p^2) mod-p Bernoulli
 convolution, the breadth-first projective closure over PGL2(Fq), and the
-tame-order gcd check across a prime range.  The gcd check tests only the O(1)
-closed-form exponents per prime; the full j-scan it replaces is kept in the
-tests as its oracle.
+tame-order gcd check across a prime range.  The closure lists only groups
+whose order Schreier-Sims (``dickson.group_order``) has already shown to be
+small.  The gcd check tests only the O(1) closed-form exponents per prime;
+the full j-scan it replaces is kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -92,20 +93,13 @@ def eta_scan(primes) -> np.ndarray:
 # (m0, m1, m2, m3) packs into ((m0*q + m1)*q + m2)*q + m3 < q^4 <= 2^63.
 
 
-def closure_codes(
-    gens,
-    p: int,
-    r: int,
-    nr: int,
-    inv_table,
-    budget: int,
-) -> tuple[np.ndarray, bool]:
+def closure_codes(gens, p: int, r: int, nr: int, inv_table) -> np.ndarray:
     """BFS closure of scalar-normalized packed generator codes under right
-    multiplication, starting at the identity.  Returns (sorted codes,
-    overflowed); the code array is only meaningful when overflowed is False.
+    multiplication, starting at the identity; returns the sorted codes.
+
+    The BFS holds every element, so callers bound the group order first
+    (``dickson.closure`` computes it by Schreier-Sims).
     """
-    if budget < 1:
-        raise ValueError("closure budget must be >= 1")
     gens = np.asarray(gens, dtype=np.int64)
     inv_table = np.asarray(inv_table, dtype=np.int64)
     q = p * p if r == 2 else p
@@ -153,10 +147,8 @@ def closure_codes(
             c3 = gmul(c3, il)
             prods.append(((c0 * q + c1) * q + c2) * q + c3)
         new = np.setdiff1d(np.unique(np.concatenate(prods)), visited, assume_unique=True)
-        if visited.size + new.size > budget:
-            return visited, True
         if new.size == 0:
             break
         visited = np.union1d(visited, new)
         frontier = new
-    return visited, False
+    return visited

@@ -208,15 +208,22 @@ def form_inverse(f: QuadForm) -> QuadForm:
 
 
 def form_pow(f: QuadForm, n: int) -> QuadForm:
-    d = f.discriminant()
     if n < 0:
         return form_pow(form_inverse(f), -n)
-    result = principal_form(d)
+    if n == 0:
+        return principal_form(f.discriminant())
+    # start from the lowest set bit, so the discriminant (validated by
+    # principal_form) is not rechecked on every call
     base = reduce_form(f)
+    while not n & 1:
+        base = form_square(base)
+        n >>= 1
+    result = base
+    n >>= 1
     while n:
+        base = form_square(base)
         if n & 1:
             result = compose(result, base)
-        base = form_square(base)
         n >>= 1
     return result
 

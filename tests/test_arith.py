@@ -145,7 +145,7 @@ class TestFactorization:
             fac = arith.factorize(a * b)
             assert fac == ({a: 2} if a == b else {a: 1, b: 1})
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(
         st.integers(1, 10**12)
         | st.builds(

@@ -122,14 +122,6 @@ class TestExitCodes:
         assert rc == 2
         assert "trivial_class_group:" in err
 
-    def test_closure_overflow_is_domain_error(self, capsys):
-        rc, _, err = invoke(
-            ["dickson", "classify", "--field", "7", "--gen", "1,1,0,1", "--budget", "5"],
-            capsys,
-        )
-        assert rc == 2
-        assert err.startswith("domain error:")
-
     @pytest.mark.parametrize("argv", [
         [],
         ["frobenius"],
@@ -222,14 +214,24 @@ class TestDicksonCli:
         want = invoke_json(self.PSL_ARGS, capsys)
         assert got["items"] == want["items"]
 
-    def test_budget_env_variable(self, monkeypatch, capsys):
+    def test_no_size_limit_to_set(self, monkeypatch, capsys):
+        rc, out, err = invoke(self.PSL_ARGS + ["--budget", "5"], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("usage error:") and "--budget" in err
+        # the old environment override is not read either
         monkeypatch.setenv("GIL_MAX_CLOSURE", "5")
-        rc, _, err = invoke(self.PSL_ARGS, capsys)
-        assert rc == 2 and "domain error" in err
-        # explicit flag wins over the environment
-        payload = invoke_json(self.PSL_ARGS + ["--budget", "200000"], capsys)
-        assert payload["parameters"]["budget"] == 200000
+        payload = invoke_json(self.PSL_ARGS, capsys)
+        assert payload["parameters"] == {"field": "7", "gen": ["0,1,6,0", "1,1,0,1"]}
         assert payload["items"][0]["group_order"] == 168
+
+    def test_psl2_f169_text_report(self, capsys):
+        argv = ["dickson", "classify", "--field", "13,2", "--gen", "1,1,0,1", "--gen", "1,0,13,1"]
+        rc, out, err = invoke(argv, capsys)
+        assert rc == 0, err
+        # two header lines, then the report as JSON
+        report = json.loads(out.splitlines()[2])
+        assert report["group_order"] == 2_413_320
+        assert report["canonical_label"] == "large-PSL(169)"
 
     def test_extension_field_spec(self, capsys):
         argv = ["dickson", "classify", "--field", "7,2", "--gen", "1,1,0,1", "--gen", "1,0,7,1"]

@@ -1,14 +1,17 @@
 """Classification of projective matrix groups over small fields: field and
-matrix arithmetic, closure, and the full decision cascade."""
+matrix arithmetic, Schreier-Sims group orders against closure enumeration,
+and the full decision cascade."""
 
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galim import dickson
 from galim.arith import multiplicative_order
-from galim.dickson import ClosureOverflowError, GFq, Mat2, identity_mat
+from galim.dickson import GFq, Mat2, identity_mat
 
 
 F7 = GFq(7)
@@ -148,9 +151,6 @@ class TestClosure:
             for y in got:
                 assert (x * y).scalar_normalized() in got
 
-    def test_overflow_returns_none(self):
-        assert dickson.closure(mats(F7, (0, 1, 6, 0), (1, 1, 0, 1)), budget=100) is None
-
     def test_rejects_mixed_fields_and_singular(self):
         with pytest.raises(ValueError):
             dickson.closure([identity_mat(F7), identity_mat(F11)])
@@ -278,14 +278,76 @@ class TestClassifyCascade:
         assert rep.group_order == 168
         assert rep.canonical_label == "large-PSL(7)"
 
-    def test_overflow_raises(self):
-        with pytest.raises(ClosureOverflowError):
-            dickson.classify(mats(F7, (0, 1, 6, 0), (1, 1, 0, 1)), budget=50)
-
     def test_small_characteristic_rejected(self):
         f5 = GFq(5)
         with pytest.raises(ValueError):
             dickson.classify([identity_mat(f5)])
+
+
+def invertible_generators(field, max_count=3):
+    entries = st.tuples(*[st.integers(0, field.q - 1)] * 4)
+    mat = entries.map(lambda e: Mat2(field, *e)).filter(lambda m: m.det() != 0)
+    return st.lists(mat, min_size=1, max_size=max_count)
+
+
+class TestGroupOrder:
+    """Schreier-Sims orders against the breadth-first closure."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([F7, F11, F13]).flatmap(invertible_generators))
+    def test_matches_enumeration(self, gens):
+        assert dickson.group_order(gens) == len(dickson.closure(gens))
+
+    # each PGL2(F49)-sized closure takes about half a second
+    @settings(max_examples=4)
+    @given(invertible_generators(F49, max_count=2))
+    def test_matches_enumeration_f49(self, gens):
+        assert dickson.group_order(gens) == len(dickson.closure(gens))
+
+    # every group of the acceptance gate's criterion-7 corpus, plus the
+    # trivial and cyclic F7 cascade cases
+    @pytest.mark.parametrize(
+        "field,codes,order", [(F7, c, n) for c, n, _ in CASCADE_CASES] + [
+            (F11, [(0, 1, 2, 1), (0, 1, 6, 0)], 60),
+            (F13, [(0, 1, 12, 0), (1, 1, 0, 1)], 1092),
+            (F13, [(2, 0, 0, 1), (0, 1, 1, 0)], 24),
+            (F7, [(1, 3, 1, 1)], 8),
+            (F7, [(1, 3, 1, 1), (1, 0, 0, 6)], 16),
+            (F49, [(1, 1, 0, 1), (1, 0, 7, 1)], 58800),
+            (F49, [(1, 1, 0, 1), (1, 0, 7, 1), (8, 0, 0, 1)], 117600),
+        ],
+    )
+    def test_corpus_matches_enumeration(self, field, codes, order):
+        gens = mats(field, *codes)
+        assert dickson.group_order(gens) == len(dickson.closure(gens)) == order
+
+    def test_psl2_f169_beyond_the_listing_limit(self, monkeypatch):
+        # unipotents with offsets 1 and x (code 13) generate SL2(F169)
+        gens = mats(GFq(13, 2), (1, 1, 0, 1), (1, 0, 13, 1))
+        assert dickson.group_order(gens) == 169 * (169 * 169 - 1) // 2 == 2_413_320
+        rep = dickson.classify(gens)
+        assert rep.group_order == 2_413_320
+        assert rep.canonical_label == "large-PSL(169)"
+
+        def no_enumeration(*args):
+            raise AssertionError("closure_codes called")
+
+        monkeypatch.setattr(dickson, "closure_codes", no_enumeration)
+        with pytest.raises(ValueError, match="listing limit"):
+            dickson.closure(gens)
+
+    def test_psl2_large_prime(self):
+        p = 1009
+        gens = mats(GFq(p), (0, 1, p - 1, 0), (1, 1, 0, 1))
+        assert dickson.group_order(gens) == p * (p * p - 1) // 2
+
+    def test_rejects_mixed_fields_and_singular(self):
+        with pytest.raises(ValueError):
+            dickson.group_order([identity_mat(F7), identity_mat(F11)])
+        with pytest.raises(ValueError):
+            dickson.group_order(mats(F7, (1, 1, 1, 1)))
+        with pytest.raises(ValueError):
+            dickson.group_order([])
 
 
 def random_invertible(rng, field):

@@ -7,8 +7,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galim import quadforms as qf
+from galim.arith import primes_in_range
 from galim.cyclotomic import CycloValue
 
 # classical class numbers h(-p) for prime p = 3 mod 4
@@ -123,11 +126,14 @@ class TestClassNumber:
             assert qf.class_number(-p) == h, p
 
     def test_analytic_route_agrees(self):
-        from galim.arith import primes_in_range
-
         for p in primes_in_range(7, 600):
             if p % 4 == 3:
                 assert qf.class_number(-p) == qf.class_number_analytic(-p), p
+
+    @settings(max_examples=100)
+    @given(st.sampled_from([p for p in primes_in_range(7, 10**5 - 1) if p % 4 == 3]))
+    def test_analytic_route_agrees_on_random_primes(self, p):
+        assert qf.class_number(-p) == qf.class_number_analytic(-p)
 
     def test_h_odd_and_prime_to_p(self):
         for p in KNOWN_H:
@@ -167,6 +173,18 @@ class TestComposition:
             if n < 0:
                 acc = qf.form_inverse(acc)
             assert qf.form_pow(f, n) == acc
+
+    def test_positive_powers_do_not_revalidate_the_discriminant(self, monkeypatch):
+        forms = qf.reduced_forms(-167)
+        calls = []
+        real = qf.is_prime
+        monkeypatch.setattr(qf, "is_prime", lambda n: calls.append(n) or real(n))
+        for f in forms:
+            for n in (1, 2, 5, 8, 11, -3):
+                qf.form_pow(f, n)
+        assert calls == []
+        assert qf.form_pow(forms[0], 0) == qf.QuadForm(1, 1, 42)
+        assert calls == [167]
 
     def test_mixed_discriminants_rejected(self):
         with pytest.raises(ValueError):
