@@ -1,11 +1,12 @@
 """Exact and modular arithmetic primitives.
 
 Deterministic primality below 2^62, the Kronecker symbol in full generality,
-multiplicative orders, totients, Bernoulli numbers both as exact rationals and
-as a mod-p table built by the same convolution run entirely mod p, irregular
-indices, and the primorial totient-ratio report whose values approach
-exp(-gamma) = 0.56146... from below.  ``factorize`` trial-divides by the
-primes below 2^16, a list built once per process on its first call.
+multiplicative orders, totients, Bernoulli numbers both as exact rationals
+(by the defining convolution) and as a mod-p table (by Newton inversion of
+the even series, ``kernels.bernoulli_table_mod``), irregular indices, and the
+primorial totient-ratio report whose values approach exp(-gamma) =
+0.56146... from below.  ``factorize`` trial-divides by the primes below
+2^16, a list built once per process on its first call.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def bernoulli_exact(k: int) -> Fraction:
 @dataclass(frozen=True)
 class BernoulliTable:
     """Residues of the p-integral Bernoulli numbers B_k mod p for even k in
-    [2, p-3], built by the exact-recursion convolution run mod p."""
+    [2, p-3], read from ``kernels.bernoulli_table_mod``."""
 
     p: int
     entries: dict[int, int]
@@ -283,7 +284,7 @@ def bernoulli_mod_p(p: int) -> BernoulliTable:
     if p < 5 or not is_prime(p):
         raise ValueError(f"bernoulli_mod_p needs a prime p >= 5, got {p}")
     table = kernels.bernoulli_table_mod(p)
-    entries = {k: int(table[k]) for k in range(2, p - 2, 2)}
+    entries = dict(zip(range(2, p - 2, 2), table[2 : p - 2 : 2].tolist()))
     return BernoulliTable(p, entries)
 
 

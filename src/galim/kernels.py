@@ -1,8 +1,10 @@
 """Hot numeric loops, one numpy implementation each.
 
-Three loops dominate the toolkit's runtime: the O(p^2) mod-p Bernoulli
-convolution, the breadth-first projective closure over PGL2(Fq), and the
-tame-order gcd check across a prime range.  The closure lists only groups
+Three loops dominate the toolkit's runtime: the mod-p Bernoulli table, the
+breadth-first projective closure over PGL2(Fq), and the tame-order gcd check
+across a prime range.  The Bernoulli table comes from Newton inversion of a
+power series with Kronecker-substitution products; the O(p^2) convolution it
+replaces is kept in the tests as its oracle.  The closure lists only groups
 whose order Schreier-Sims (``dickson.group_order``) has already shown to be
 small.  The gcd check tests only the O(1) closed-form exponents per prime;
 the full j-scan it replaces is kept in the tests as its oracle.
@@ -28,26 +30,84 @@ def active_backend() -> str:
 def bernoulli_table_mod(p: int) -> np.ndarray:
     """All Bernoulli numbers mod p as an int64 array indexed 0..p-3.
 
-    Requires p >= 5 and p < 2^31 so every intermediate fits in int64.
+    Requires p >= 5 and p < 2^31.  The even ones come from Newton inversion
+    of the even series (Buhler, Crandall, Ernvall, Metsankyla and
+    Shokrollahi 2001; Buhler and Harvey 2011):
+
+        (x/2) coth(x/2) = sum_k B_2k x^2k / (2k)! = C(y) / S(y),  y = x^2,
+
+    with C(y) = sum_k y^k / (4^k (2k)!) and S(y) = sum_k y^k / (4^k (2k+1)!)
+    the series of cosh(x/2) and sinh(x/2) / (x/2), for k = 0..(p-3)/2.
+    Every factorial involved is at most (p-2)!, hence invertible mod p.
+    B_1 = -1/2 and the odd B_k, k >= 3, vanish.
     """
     if p < 5:
         raise ValueError("mod-p Bernoulli table needs p >= 5")
     if p >= 1 << 31:
         raise ValueError("mod-p Bernoulli table needs p < 2^31")
-    # B[k] from the defining convolution sum_{j<=k} C(k+1,j) B_j = 0 run
-    # entirely mod p; row holds the Pascal row C(n, .)
+    n = (p - 1) // 2
+    # j! for j = 0..p-2, then their inverses with one pow and a descending
+    # product
+    fact = [1] * (p - 1)
+    for j in range(1, p - 1):
+        fact[j] = fact[j - 1] * j % p
+    inv_fact = [1] * (p - 1)
+    inv_fact[-1] = pow(fact[-1], p - 2, p)
+    for j in range(p - 2, 1, -1):
+        inv_fact[j - 1] = inv_fact[j] * j % p
+    inv4 = pow(4, p - 2, p)
+    c = [0] * n
+    s = [0] * n
+    w = 1  # 4^-k
+    for k in range(n):
+        c[k] = w * inv_fact[2 * k] % p
+        s[k] = w * inv_fact[2 * k + 1] % p
+        w = w * inv4 % p
+    # g = 1/S mod y^m, doubling m: g <- g (2 - S g).  S g = 1 + y^m e mod
+    # y^2m, so only e and g e need computing
+    g = np.ones(1, dtype=np.uint64)
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        e = _mul_mod(s[:m2], g, p, m2)[m:]
+        g = np.concatenate([g, (p - _mul_mod(g, e, p, m2 - m)) % p])
+        m = m2
+    ratio = _mul_mod(c, g, p, n)
     B = np.zeros(p - 2, dtype=np.int64)
-    row = np.zeros(p - 1, dtype=np.int64)
-    row[0] = 1
-    B[0] = 1
-    for n in range(1, p - 1):
-        row[1 : n + 1] = (row[1 : n + 1] + row[0:n]) % p
-        k = n - 1
-        if k >= 1:
-            s = int((row[:k] * B[:k] % p).sum() % p)
-            # C(n, k) = n, so B_k = -s / n
-            B[k] = (p - s) % p * pow(n, p - 2, p) % p
+    B[0::2] = np.asarray(fact[0 : p - 2 : 2], dtype=np.uint64) * ratio % p
+    B[1] = (p - 1) // 2
     return B
+
+
+# private so that the per-layer trace, which wraps public names only, keeps
+# the time inside bernoulli_table_mod
+def _mul_mod(a, b, p: int, n: int) -> np.ndarray:
+    """First n coefficients of a*b mod p, as uint64, for residue sequences a
+    and b, by Kronecker substitution on Python ints.
+
+    A coefficient of the exact product is below min(len a, len b)(p-1)^2,
+    so it fits a 64-bit slot while that is below 2^64 (p below about 2^21
+    for a full table) and a 128-bit slot, read as two 64-bit limbs, up to
+    p < 2^31.
+    """
+    a = np.asarray(a[:n], dtype="<u8")
+    b = np.asarray(b[:n], dtype="<u8")
+    wide = min(len(a), len(b)) * (p - 1) ** 2 >= 1 << 64
+    limbs = 2 if wide else 1
+    prod = _pack(a, limbs) * _pack(b, limbs)
+    size = max(len(a) + len(b) - 1, n) * limbs * 8
+    out = np.frombuffer(prod.to_bytes(size, "little"), dtype="<u8", count=n * limbs)
+    if not wide:
+        return out % p
+    out = out.reshape(n, 2) % p
+    return (out[:, 1] * ((1 << 64) % p) + out[:, 0]) % p
+
+
+def _pack(a: np.ndarray, limbs: int) -> int:
+    """The integer with little-endian slots of `limbs` 64-bit words holding a."""
+    if limbs > 1:
+        a = np.pad(a[:, None], ((0, 0), (0, limbs - 1)))
+    return int.from_bytes(a.tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------

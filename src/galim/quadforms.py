@@ -41,6 +41,11 @@ from .cyclotomic import CycloValue
 # least recently used entries it drops are never needed again.
 CACHE_MAXSIZE = 1024
 
+# Largest p for which class_number_analytic evaluates its character sum: the
+# sum holds (p-1)/2 int64 squares plus a mask, about 4.5p bytes (450 MB at
+# the limit), and a^2 stays far below 2^63.
+ANALYTIC_MAX_P = 10**8
+
 
 def _check_disc(d: int) -> int:
     """Validate a discriminant -p with p prime, p = 3 mod 4, p >= 7."""
@@ -132,12 +137,19 @@ def class_number_analytic(d: int) -> int:
     mod p enter.  For p = 3 mod 4,
 
         h(-p) = (1 / (2 - (2|p))) * sum_{0 < a < p/2} (a|p).
+
+    The squares a^2 mod p, 0 < a < p/2, are the (p-1)/2 residues, each once,
+    so the sum is 2r - (p-1)/2 with r the number of them below p/2.  Refuses
+    p above ``ANALYTIC_MAX_P`` before allocating anything.
     """
     p = _check_disc(d)
-    half = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    sq = np.unique(np.mod(np.arange(1, p, dtype=np.int64) ** 2 % p, p))
-    chi = np.where(np.isin(half, sq), 1, -1)
-    total = int(chi.sum())
+    if p > ANALYTIC_MAX_P:
+        raise ValueError(f"analytic class number needs p <= {ANALYTIC_MAX_P}, got {p}")
+    n = (p - 1) // 2
+    sq = np.arange(1, n + 1, dtype=np.int64)
+    sq *= sq
+    sq %= p
+    total = 2 * int(np.count_nonzero(sq <= n)) - n
     denom = 2 - kronecker(2, p)
     if total % denom:
         raise InternalInconsistencyError(f"character sum {total} not divisible by {denom}")
@@ -603,6 +615,13 @@ class BrauerSiegelReport:
     ratio_max: float
 
 
+# the one copy, shared with witness.scan; private, so the per-layer trace,
+# which wraps public names only, counts its time in the callers
+def _brauer_siegel_ratio(p: int, h: int) -> float:
+    """log h / log sqrt(p), exactly 0.0 for h = 1."""
+    return 0.0 if h == 1 else 2.0 * math.log(h) / math.log(p)
+
+
 def brauer_siegel_report(lo: int, hi: int) -> BrauerSiegelReport:
     """log h / log sqrt(p) for every admissible prime discriminant in
     [lo, hi]; the ratio tends to 1 but creeps there very slowly."""
@@ -611,8 +630,7 @@ def brauer_siegel_report(lo: int, hi: int) -> BrauerSiegelReport:
         if p % 4 != 3:
             continue
         h = class_number(-p)
-        ratio = 0.0 if h == 1 else 2.0 * math.log(h) / math.log(p)
-        rows.append(ClassNumberGrowth(p, h, ratio))
+        rows.append(ClassNumberGrowth(p, h, _brauer_siegel_ratio(p, h)))
     if not rows:
         raise ValueError(f"no admissible primes in [{lo}, {hi}]")
     ratios = [r.ratio for r in rows]

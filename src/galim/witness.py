@@ -17,7 +17,6 @@ the output is byte-identical for every job count.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -189,8 +188,7 @@ def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int]]:
                 skip("not_3_mod_4")
                 continue
             h = quadforms.class_number(-p)
-            ratio = 0.0 if h == 1 else 2.0 * math.log(h) / math.log(p)
-            items.append({"p": p, "h": h, "ratio": ratio})
+            items.append({"p": p, "h": h, "ratio": quadforms._brauer_siegel_ratio(p, h)})
         else:
             raise ValueError(f"unknown scan kind {kind!r}")
     return items, skipped

@@ -1,11 +1,40 @@
-"""Kernel checks against independent routes: exact rational Bernoulli numbers,
-a full j-scan oracle for the closed-form eta check, and known group orders
-for the projective closure."""
+"""Kernel checks against independent routes: exact rational Bernoulli numbers
+and the O(p^2) Pascal-row convolution for the Newton-inversion table, a
+schoolbook product for its Kronecker multiply, a full j-scan oracle for the
+closed-form eta check, and known group orders for the projective closure."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galim import arith, dickson, kernels
+
+
+def _bernoulli_table_oracle(p):
+    """B_k mod p, k = 0..p-3, from the defining convolution
+    sum_{j<=k} C(k+1, j) B_j = 0 run entirely mod p; row holds the Pascal
+    row C(n, .)."""
+    B = np.zeros(p - 2, dtype=np.int64)
+    row = np.zeros(p - 1, dtype=np.int64)
+    row[0] = 1
+    B[0] = 1
+    for n in range(1, p - 1):
+        row[1 : n + 1] = (row[1 : n + 1] + row[0:n]) % p
+        k = n - 1
+        if k >= 1:
+            s = int((row[:k] * B[:k] % p).sum() % p)
+            # C(n, k) = n, so B_k = -s / n
+            B[k] = (p - s) % p * pow(n, p - 2, p) % p
+    return B
+
+
+def _schoolbook_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
 
 
 class TestBernoulliKernel:
@@ -17,6 +46,34 @@ class TestBernoulliKernel:
                 b = arith.bernoulli_exact(k)
                 want = b.numerator * pow(b.denominator, -1, p) % p
                 assert int(table[k]) == want, (p, k)
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(arith.primes_in_range(5, 2999)))
+    @example(5)
+    @example(7)
+    @example(11)
+    def test_matches_convolution_oracle(self, p):
+        # whole arrays, B_1 and the vanishing odd indices included; 5, 7 and
+        # 11 give the shortest Newton series (one, two and three terms)
+        table = kernels.bernoulli_table_mod(p)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, _bernoulli_table_oracle(p))
+
+    # 2^31 - 1, the largest prime the table accepts, puts 50-term products
+    # in 128-bit slots; 1999 keeps them in 64-bit slots
+    @pytest.mark.parametrize("p", [1999, (1 << 31) - 1])
+    @settings(max_examples=25)
+    @given(
+        st.lists(st.integers(0, (1 << 31) - 2), min_size=50, max_size=50),
+        st.lists(st.integers(0, (1 << 31) - 2), min_size=50, max_size=50),
+    )
+    @example([(1 << 31) - 2] * 50, [(1 << 31) - 2] * 50)
+    def test_kronecker_multiply_matches_schoolbook(self, p, a, b):
+        a = [x % p for x in a]
+        b = [x % p for x in b]
+        want = _schoolbook_mod(a, b, p)
+        assert kernels._mul_mod(a, b, p, len(want)).tolist() == want
+        assert kernels._mul_mod(a, b, p, 30).tolist() == want[:30]
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ class groups, characters, theta series, and the analytic cross-check."""
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galim import quadforms as qf
-from galim.arith import primes_in_range
+from galim.arith import is_prime, primes_in_range
 from galim.cyclotomic import CycloValue
 
 # classical class numbers h(-p) for prime p = 3 mod 4
@@ -134,6 +135,22 @@ class TestClassNumber:
     @given(st.sampled_from([p for p in primes_in_range(7, 10**5 - 1) if p % 4 == 3]))
     def test_analytic_route_agrees_on_random_primes(self, p):
         assert qf.class_number(-p) == qf.class_number_analytic(-p)
+
+    def test_analytic_route_refuses_p_above_its_limit(self):
+        # the first admissible p above the limit is refused before the
+        # (p-1)/2 squares are allocated; below it a^2 cannot overflow int64
+        assert (qf.ANALYTIC_MAX_P // 2) ** 2 < 1 << 63
+        p = qf.ANALYTIC_MAX_P + 1
+        while p % 4 != 3 or not is_prime(p):
+            p += 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="analytic class number needs p <="):
+                qf.class_number_analytic(-p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_h_odd_and_prime_to_p(self):
         for p in KNOWN_H:

@@ -145,6 +145,12 @@ class TestScan:
         assert rep.aggregates["ratio_max"] == pytest.approx(
             2 * math.log(7) / math.log(71)
         )
+        # the scan and the report share one ratio routine, so they agree
+        # exactly, not just to rounding
+        report = quadforms.brauer_siegel_report(7, 100)
+        assert [(r["p"], r["h"], r["ratio"]) for r in rep.items] == [
+            (r.prime, r.class_number, r.ratio) for r in report.rows
+        ]
 
     def test_caches_stay_bounded_over_a_long_scan(self, monkeypatch):
         bound = quadforms.CACHE_MAXSIZE
