@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import divisors, factorize, is_prime, kronecker, totient
+from .quadforms import CACHE_MAXSIZE
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class GenusData:
     genus: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def genus_X0(n: int) -> GenusData:
     """Genus of X_0(N) from the index and elliptic/cusp counts."""
     if n < 1:
@@ -60,7 +61,7 @@ def genus_X0(n: int) -> GenusData:
     return GenusData(n, index, nu2, nu3, nu_inf, int(g))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def dim_S2_new_Gamma0(n: int) -> int:
     """Dimension of the new subspace of weight-2 cusp forms on Gamma_0(N).
 
@@ -88,7 +89,7 @@ def dim_S2_new_Gamma0(n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def genus_X1(n: int) -> int:
     """Genus of X_1(N) for N >= 5 (no elliptic points in this range)."""
     if n < 5:

@@ -30,8 +30,8 @@ def active_backend() -> str:
 def bernoulli_table_mod(p: int) -> np.ndarray:
     """All Bernoulli numbers mod p as an int64 array indexed 0..p-3.
 
-    Requires p >= 5 and p < 2^31.  The even ones come from Newton inversion
-    of the even series (Buhler, Crandall, Ernvall, Metsankyla and
+    Requires a prime p with 5 <= p < 2^31.  The even ones come from Newton
+    inversion of the even series (Buhler, Crandall, Ernvall, Metsankyla and
     Shokrollahi 2001; Buhler and Harvey 2011):
 
         (x/2) coth(x/2) = sum_k B_2k x^2k / (2k)! = C(y) / S(y),  y = x^2,
@@ -51,6 +51,9 @@ def bernoulli_table_mod(p: int) -> np.ndarray:
     fact = [1] * (p - 1)
     for j in range(1, p - 1):
         fact[j] = fact[j - 1] * j % p
+    # Wilson: (p-2)! = 1 mod p exactly when p >= 5 is prime
+    if fact[-1] != 1:
+        raise ValueError(f"mod-p Bernoulli table needs a prime p, got {p}")
     inv_fact = [1] * (p - 1)
     inv_fact[-1] = pow(fact[-1], p - 2, p)
     for j in range(p - 2, 1, -1):

@@ -35,10 +35,11 @@ from .arith import (
 )
 from .cyclotomic import CycloValue
 
-# Entries kept by each memoised table below (reduced forms, class groups,
-# splitting logs), so memory stays bounded however long a scan runs.  A scan
-# moves through its discriminants in order and never returns to one, so the
-# least recently used entries it drops are never needed again.
+# Entries kept by each memoised table (reduced forms, class groups and
+# splitting logs below, the genus and dimension tables in dims), so memory
+# stays bounded however long a scan runs.  A scan moves through its
+# discriminants and levels in order and never returns to one, so the least
+# recently used entries it drops are never needed again.
 CACHE_MAXSIZE = 1024
 
 # Largest p for which class_number_analytic evaluates its character sum: the
@@ -271,12 +272,17 @@ class ClassGroup:
         return self.dlog[key]
 
 
-def _element_order(f: QuadForm, h: int, h_factors: dict[int, int], identity: QuadForm) -> int:
-    t = h
-    for q in h_factors:
-        while t % q == 0 and form_pow(f, t // q) == identity:
-            t //= q
-    return t
+def _span(
+    known: dict[QuadForm, tuple[int, ...]], y: QuadForm, k: int
+) -> dict[QuadForm, tuple[int, ...]]:
+    """Extend a dlog table by y of order k modulo its span: each a * y^j,
+    j < k, gets known[a] + (j,), at one composition per entry."""
+    out = {a: exps + (0,) for a, exps in known.items()}
+    layer = list(known.items())
+    for j in range(1, k):
+        layer = [(compose(a, y), exps) for a, exps in layer]
+        out.update((a, exps + (j,)) for a, exps in layer)
+    return out
 
 
 def _sylow_basis(
@@ -315,14 +321,7 @@ def _sylow_basis(
             y = compose(y, form_pow(g, -(e // k)))
         if form_pow(y, k) != identity:
             raise InternalInconsistencyError("corrected element has wrong order")
-        # extend the known span by the new independent generator
-        new_known: dict[QuadForm, tuple[int, ...]] = {}
-        power = identity
-        for e in range(k):
-            for base_form, exps in known.items():
-                new_known[compose(base_form, power)] = exps + (e,)
-            power = compose(power, y)
-        known = new_known
+        known = _span(known, y, k)
         basis.append(y)
         orders.append(k)
     return basis, orders
@@ -330,7 +329,14 @@ def _sylow_basis(
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def class_group(d: int) -> ClassGroup:
-    """Full class group with discrete logarithms, cross-checked two ways."""
+    """Full class group with discrete logarithms, cross-checked two ways.
+
+    The form count must equal the analytic class number.  Each Sylow
+    q-subgroup is the set of forms f with f^(q^e) = 1, q^e exactly dividing
+    h, and ``_sylow_basis`` picks its basis greedily.  The dlog table starts
+    from the identity and is extended by each generator in turn, one
+    composition per entry.
+    """
     p = _check_disc(d)
     forms = list(reduced_forms(d))
     h = len(forms)
@@ -344,13 +350,10 @@ def class_group(d: int) -> ClassGroup:
     if h == 1:
         return ClassGroup(d, 1, (), (), {identity: ()})
 
-    h_factors = factorize(h)
-    orders = {f: _element_order(f, h, h_factors, identity) for f in forms}
-
     # invariant factors, assembled one prime at a time
     per_prime: list[tuple[list[QuadForm], list[int]]] = []
-    for q, e in sorted(h_factors.items()):
-        sylow = [f for f in forms if q ** e % orders[f] == 0]
+    for q, e in factorize(h).items():
+        sylow = [f for f in forms if form_pow(f, q**e) == identity]
         if len(sylow) != q ** e:
             raise InternalInconsistencyError(f"Sylow {q}-subgroup has wrong size")
         basis, basis_orders = _sylow_basis(sylow, q, identity)
@@ -376,12 +379,9 @@ def class_group(d: int) -> ClassGroup:
         if big % small:
             raise InternalInconsistencyError(f"invariant factors {structure} not a chain")
 
-    dlog: dict[QuadForm, tuple[int, ...]] = {}
-    for exps in itertools.product(*(range(di) for di in structure)):
-        f = identity
-        for g, e in zip(generators, exps):
-            f = compose(f, form_pow(g, e))
-        dlog[f] = exps
+    dlog: dict[QuadForm, tuple[int, ...]] = {identity: ()}
+    for g, di in zip(generators, structure):
+        dlog = _span(dlog, g, di)
     if len(dlog) != h or set(dlog) != set(forms):
         raise InternalInconsistencyError(f"dlog table does not enumerate the group for {d}")
     return ClassGroup(d, h, structure, generators, dlog)
@@ -415,22 +415,20 @@ class ClassCharacter:
         return all(e == 0 for e in self.exponents)
 
     def value_at(self, exps: tuple[int, ...]) -> CycloValue:
+        return CycloValue.zeta(self.order, self._power(exps))
+
+    def _power(self, exps: tuple[int, ...]) -> int:
+        """k in 0..m-1 with value_at(exps) = zeta_m^k."""
         m = self.order
         total = 0
         for di, mi, e in zip(self.structure, self.exponents, exps):
             # (d_i / gcd(m_i, d_i)) divides m, so this division is exact
             total += e * (m * mi // di)
-        return _zeta_power(m, total % m)
+        return total % m
 
     def conjugate(self) -> "ClassCharacter":
         conj = tuple((-mi) % di for di, mi in zip(self.structure, self.exponents))
         return ClassCharacter(self.structure, conj)
-
-
-def _zeta_power(m: int, k: int) -> CycloValue:
-    coeffs = [0] * m
-    coeffs[k % m] = 1
-    return CycloValue(m, coeffs)
 
 
 def characters(d: int) -> tuple[ClassCharacter, ...]:
@@ -520,12 +518,15 @@ class QExpansion:
 
 
 def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
-    """a_n for 1 <= n <= bound by direct ideal enumeration in dlog space.
+    """a_n for 1 <= n <= bound, the sum of char(class) over ideals of norm n.
 
-    a_n = sum over ideals of norm n of char(class).  Ideals are enumerated
-    one prime power at a time: an inert prime contributes only even powers,
-    the ramified prime a single ideal per power, and a split prime the
-    chain of e+1 products of the two conjugate primes.
+    a_n is multiplicative: a_n = a_(l^e) * a_(n / l^e) for the least prime
+    l dividing n, l^e exactly dividing n.  With zeta^k the character value
+    at the prime above l, the local factor a_(l^e) is 1 or 0 for inert l as
+    e is even or odd, zeta^(ek) for the ramified prime, and for split l the
+    sum of zeta^((2i-e)k) over the e+1 ideals P^i Pbar^(e-i), 0 <= i <= e.
+    So each a_n costs one product of cyclotomic vectors, and the raw vector
+    is the histogram of character exponents over the ideals of norm n.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -533,46 +534,22 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     if char.structure != grp.structure:
         raise ValueError("character does not belong to this class group")
     m = char.order
-    zero = CycloValue.zero(m)
-    rank = len(grp.structure)
-
-    def char_value(exps: tuple[int, ...]) -> CycloValue:
-        return char.value_at(exps)
-
-    coeffs: list[CycloValue] = [zero, CycloValue.from_int(m, 1)]
+    coeffs: list[CycloValue] = [CycloValue.zero(m), CycloValue.from_int(m, 1)]
     for n in range(2, bound + 1):
-        fac = factorize(n)
-        options_per_prime: list[list[tuple[int, ...]]] = []
-        dead = False
-        for ell, e in fac.items():
-            kind, dl = _splitting_dlog(d, ell)
-            if kind == "inert":
-                if e % 2:
-                    dead = True
-                    break
-                options_per_prime.append([(0,) * rank])
-            elif kind == "ramified":
-                assert dl is not None
-                options_per_prime.append(
-                    [tuple(e * x % di for x, di in zip(dl, grp.structure))]
-                )
+        ell, e = next(iter(factorize(n).items()))
+        kind, dl = _splitting_dlog(d, ell)
+        local = [0] * m
+        if kind == "inert":
+            local[0] = 1 - e % 2
+        else:
+            assert dl is not None
+            k = char._power(dl)
+            if kind == "ramified":
+                local[e * k % m] = 1
             else:
-                assert dl is not None
-                opts = []
                 for i in range(e + 1):
-                    w = 2 * i - e
-                    opts.append(tuple(w * x % di for x, di in zip(dl, grp.structure)))
-                options_per_prime.append(opts)
-        if dead:
-            coeffs.append(zero)
-            continue
-        total = zero
-        for combo in itertools.product(*options_per_prime):
-            exps = tuple(
-                sum(part[i] for part in combo) % di for i, di in enumerate(grp.structure)
-            )
-            total = total + char_value(exps)
-        coeffs.append(total)
+                    local[(2 * i - e) * k % m] += 1
+        coeffs.append(CycloValue(m, local) * coeffs[n // ell**e])
     return QExpansion(d, char.exponents, m, tuple(coeffs))
 
 

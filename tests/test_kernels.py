@@ -81,6 +81,12 @@ class TestBernoulliKernel:
         with pytest.raises(ValueError):
             kernels.bernoulli_table_mod(1 << 31)
 
+    @pytest.mark.parametrize("n", [9, 15, 25, 561])
+    def test_rejects_composite_moduli(self, n):
+        # 561 is a Carmichael number, so no Fermat test would catch it
+        with pytest.raises(ValueError, match="prime"):
+            kernels.bernoulli_table_mod(n)
+
 
 def _eta_scan_oracle(primes):
     """Every j in [1, p-2] tested against the defining conditions."""

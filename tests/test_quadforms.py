@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galim import quadforms as qf
@@ -228,9 +228,38 @@ class TestClassGroup:
             assert all(s[i + 1] % s[i] == 0 for i in range(len(s) - 1))
             assert math.prod(s) == qf.class_number(-p)
 
+    # every noncyclic class group of prime discriminant above -20000, with
+    # the generators that the greedy rule picks; classgroup prints them and
+    # theta numbers its characters by them
+    @pytest.mark.parametrize("p,structure,generators", [
+        (3299, (3, 9), ((15, -11, 57), (3, -1, 275))),
+        (4027, (3, 3), ((17, -11, 61), (13, -9, 79))),
+        (12451, (5, 5), ((7, -3, 445), (5, -3, 623))),
+        (19427, (3, 9), ((17, -15, 289), (3, -1, 1619))),
+        (19919, (3, 45), ((45, 31, 116), (31, 13, 162))),
+    ])
+    def test_noncyclic_generators_are_pinned(self, p, structure, generators):
+        grp = qf.class_group(-p)
+        assert grp.structure == structure
+        assert grp.generators == tuple(qf.QuadForm(*g) for g in generators)
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([p for p in primes_in_range(7, 20000) if p % 4 == 3]))
+    @example(3299)
+    @example(19919)
+    def test_dlog_matches_generator_powers(self, p):
+        # every entry equals the product of the generator powers it names
+        grp = qf.class_group(-p)
+        assert len(grp.dlog) == grp.order == qf.class_number(-p)
+        for f, exps in grp.dlog.items():
+            g = grp.identity
+            for gen, e in zip(grp.generators, exps):
+                g = qf.compose(g, qf.form_pow(gen, e))
+            assert g == f
+
     def test_dlog_is_group_isomorphism(self):
         rng = random.Random(11)
-        for d in (-71, -3299):
+        for d in (-71, -3299, -4027, -12451, -19919):
             grp = qf.class_group(d)
             forms = list(grp.dlog)
             assert grp.exponents_of(grp.identity) == (0,) * len(grp.structure)
@@ -407,6 +436,28 @@ class TestTheta:
                     predicted = acc.real / grp.order
                     assert abs(acc.imag) < 1e-8
                     assert abs(predicted - counts[n] / 2) < 1e-8, (d, form, n)
+
+    @settings(max_examples=25)
+    @given(st.sampled_from([p for p in primes_in_range(7, 5000) if p % 4 == 3]))
+    @example(3299)
+    def test_matches_lattice_counts_exactly(self, p):
+        # a_chi(n) = sum_Q chi([Q]) r_Q(n) / 2, exactly in Z[zeta_m]: r_Q / 2
+        # counts the ideals of norm n in the class of Q or of its inverse,
+        # and r_Q = r_(Q^-1)
+        bound = 60
+        d = -p
+        grp = qf.class_group(d)
+        counts = {q: qf.representation_counts(q, bound) for q in qf.reduced_forms(d)}
+        for char in qf.characters(d):
+            theta = qf.theta_coefficients(d, char, bound)
+            values = {q: char.value_at(grp.dlog[q]) for q in counts}
+            for n in range(1, bound + 1):
+                want = CycloValue.zero(char.order)
+                for q, r in counts.items():
+                    if r[n]:
+                        assert r[n] % 2 == 0
+                        want = want + values[q] * (int(r[n]) // 2)
+                assert theta.coefficients[n] == want, (p, char.exponents, n)
 
     def test_character_group_mismatch_rejected(self):
         # structure (5,) of disc -47 cannot act on the (3,) group of -23

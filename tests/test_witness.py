@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from galim import quadforms, witness
+from galim import dims, quadforms, witness
 from galim.arith import primes_in_range, totient
 from galim.cyclotomic import CycloValue
 from galim.witness import RegularPrimeError, TrivialClassGroupError
@@ -164,6 +164,16 @@ class TestScan:
         monkeypatch.setattr(quadforms, "reduced_forms", unbounded)
         assert witness.scan("brauer_siegel", 7, hi) == rep
         assert unbounded.cache_info().currsize > bound
+
+    def test_dims_caches_stay_bounded_over_a_long_lr_scan(self):
+        bound = quadforms.CACHE_MAXSIZE
+        for cached in (dims.genus_X0, dims.dim_S2_new_Gamma0, dims.genus_X1):
+            assert cached.cache_info().maxsize == bound
+        # each prime brings one new level 64*ell and three new genus_X0 levels
+        rep = witness.scan("lr", 7, 9000)
+        assert len(rep.items) > bound
+        assert dims.dim_S2_new_Gamma0.cache_info().currsize == bound
+        assert dims.genus_X0.cache_info().currsize == bound
 
     def test_invalid_kind_and_range(self):
         with pytest.raises(ValueError):
