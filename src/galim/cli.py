@@ -6,8 +6,11 @@ output is byte-stable (sorted keys, exact integers, rationals as "num/den",
 cyclotomic integers as coefficient lists tagged with their order).  CSV is
 offered only for ``scan``, whose items are flat rows.  Exit codes: 0 on
 success, 2 on domain errors (regular prime, trivial class group), 1 on usage
-errors.  ``dickson classify`` takes the group order from Schreier-Sims and
-lists the elements only of small groups, so it has no size limit to set.
+errors.  ``--format`` and ``--out`` belong to the leaf command, so they go
+after its last word (``galim witness borel -p 37 --format json``); placed
+before it they are a usage error.  ``dickson classify`` takes the group order
+from Schreier-Sims and lists the elements only of small groups, so it has no
+size limit to set.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ def serialize(obj):
 class ReportEnvelope:
     command: str
     parameters: dict
-    version: str
     items: list
     notes: list
+    version: str = __version__
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,6 @@ def _cmd_irregular(args) -> ReportEnvelope:
     return ReportEnvelope(
         "irregular",
         {"max": args.max},
-        __version__,
         items,
         [f"{len(items)} irregular primes <= {args.max}"],
     )
@@ -104,7 +106,6 @@ def _cmd_classgroup(args) -> ReportEnvelope:
     return ReportEnvelope(
         "classgroup",
         {"p": args.p},
-        __version__,
         [item],
         [f"invariant factors {list(grp.structure)}"],
     )
@@ -120,7 +121,6 @@ def _cmd_theta(args) -> ReportEnvelope:
     return ReportEnvelope(
         "theta",
         {"p": args.p, "coeffs": args.coeffs, "char": args.char},
-        __version__,
         items,
         [
             f"character exponents {list(char.exponents)} of order {char.order}",
@@ -158,7 +158,6 @@ def _cmd_dickson(args) -> ReportEnvelope:
     return ReportEnvelope(
         "dickson classify",
         {"field": args.field, "gen": list(args.gen)},
-        __version__,
         [report],
         [f"projective closure has {report.group_order} elements"],
     )
@@ -169,7 +168,6 @@ def _cmd_inertia_local(args) -> ReportEnvelope:
     return ReportEnvelope(
         "inertia local",
         {"p": args.p, "j": args.j, "vcase": args.vcase},
-        __version__,
         [verdict],
         [],
     )
@@ -182,7 +180,6 @@ def _cmd_inertia_eta(args) -> ReportEnvelope:
     return ReportEnvelope(
         "inertia eta",
         {"max": args.max},
-        __version__,
         list(rep.items),
         [
             f"{rep.aggregates['counterexamples']} counterexamples "
@@ -201,9 +198,7 @@ def _cmd_bounds(args) -> ReportEnvelope:
         "exceptional_prime_bound": prime_bound,
         "ratio": prime_bound // b.coarse,
     }
-    return ReportEnvelope(
-        "bounds exceptional", {"d": args.d}, __version__, [item], []
-    )
+    return ReportEnvelope("bounds exceptional", {"d": args.d}, [item], [])
 
 
 def _cmd_dims(args) -> ReportEnvelope:
@@ -218,7 +213,7 @@ def _cmd_dims(args) -> ReportEnvelope:
     else:
         item = {"p": args.j1, "dim": dims.dim_J1_prime(args.j1)}
         params = {"j1": args.j1}
-    return ReportEnvelope("dims", params, __version__, [item], [])
+    return ReportEnvelope("dims", params, [item], [])
 
 
 def _cmd_witness(args) -> ReportEnvelope:
@@ -228,13 +223,7 @@ def _cmd_witness(args) -> ReportEnvelope:
         "hida": witness.dihedral_hida_witness,
     }
     item = builders[args.witness_kind](args.p)
-    return ReportEnvelope(
-        f"witness {args.witness_kind}",
-        {"p": args.p},
-        __version__,
-        [item],
-        [],
-    )
+    return ReportEnvelope(f"witness {args.witness_kind}", {"p": args.p}, [item], [])
 
 
 def _cmd_scan(args) -> ReportEnvelope:
@@ -247,7 +236,6 @@ def _cmd_scan(args) -> ReportEnvelope:
     return ReportEnvelope(
         f"scan {args.kind}",
         {"kind": args.kind, "from": args.lo, "to": args.hi},
-        __version__,
         list(rep.items),
         notes,
     )
@@ -301,73 +289,64 @@ def _render(env: ReportEnvelope, fmt: str) -> str:
 
 
 def _build_parser() -> _Parser:
+    # --format and --out go on leaf commands only: argparse would overwrite a
+    # group parser's copy with the leaf's default, so a group copy does nothing
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", metavar="FILE", default=None)
 
+    def leaf(subparsers, name: str, handler) -> _Parser:
+        p = subparsers.add_parser(name, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
+
+    def group(name: str, dest: str):
+        return sub.add_parser(name).add_subparsers(dest=dest, required=True, parser_class=_Parser)
+
     top = _Parser(prog="galim", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("irregular", parents=[common])
+    p = leaf(sub, "irregular", _cmd_irregular)
     p.add_argument("--max", type=int, required=True)
-    p.set_defaults(handler=_cmd_irregular)
 
-    p = sub.add_parser("classgroup", parents=[common])
+    p = leaf(sub, "classgroup", _cmd_classgroup)
     p.add_argument("-p", type=int, required=True, dest="p")
-    p.set_defaults(handler=_cmd_classgroup)
 
-    p = sub.add_parser("theta", parents=[common])
+    p = leaf(sub, "theta", _cmd_theta)
     p.add_argument("-p", type=int, required=True, dest="p")
     p.add_argument("--coeffs", type=int, default=100)
     p.add_argument("--char", type=int, default=1)
-    p.set_defaults(handler=_cmd_theta)
 
-    p = sub.add_parser("dickson", parents=[common])
-    dick_sub = p.add_subparsers(dest="dickson_cmd", required=True, parser_class=_Parser)
-    pc = dick_sub.add_parser("classify", parents=[common])
-    pc.add_argument("--field", required=True, help="p or p,r")
-    pc.add_argument("--gen", action="append", required=True, help='"a,b,c,d", repeatable')
-    pc.set_defaults(handler=_cmd_dickson)
+    p = leaf(group("dickson", "dickson_cmd"), "classify", _cmd_dickson)
+    p.add_argument("--field", required=True, help="p or p,r")
+    p.add_argument("--gen", action="append", required=True, help='"a,b,c,d", repeatable')
 
-    p = sub.add_parser("inertia", parents=[common])
-    in_sub = p.add_subparsers(dest="inertia_cmd", required=True, parser_class=_Parser)
-    pl = in_sub.add_parser("local", parents=[common])
-    pl.add_argument("-p", type=int, required=True, dest="p")
-    pl.add_argument("-j", type=int, required=True, dest="j")
-    pl.add_argument("--vcase", choices=("ord", "st", "ss"), required=True)
-    pl.set_defaults(handler=_cmd_inertia_local)
-    pe = in_sub.add_parser("eta", parents=[common])
-    pe.add_argument("--max", type=int, required=True)
-    pe.add_argument("--jobs", type=int, default=1)
-    pe.set_defaults(handler=_cmd_inertia_eta)
+    in_sub = group("inertia", "inertia_cmd")
+    p = leaf(in_sub, "local", _cmd_inertia_local)
+    p.add_argument("-p", type=int, required=True, dest="p")
+    p.add_argument("-j", type=int, required=True, dest="j")
+    p.add_argument("--vcase", choices=("ord", "st", "ss"), required=True)
+    p = leaf(in_sub, "eta", _cmd_inertia_eta)
+    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("bounds", parents=[common])
-    b_sub = p.add_subparsers(dest="bounds_cmd", required=True, parser_class=_Parser)
-    pb = b_sub.add_parser("exceptional", parents=[common])
-    pb.add_argument("-d", type=int, required=True, dest="d")
-    pb.set_defaults(handler=_cmd_bounds)
+    p = leaf(group("bounds", "bounds_cmd"), "exceptional", _cmd_bounds)
+    p.add_argument("-d", type=int, required=True, dest="d")
 
-    p = sub.add_parser("dims", parents=[common])
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--x0", type=int)
-    group.add_argument("--x1", type=int)
-    group.add_argument("--new", type=int)
-    group.add_argument("--j1", type=int)
-    p.set_defaults(handler=_cmd_dims)
+    p = leaf(sub, "dims", _cmd_dims)
+    choice = p.add_mutually_exclusive_group(required=True)
+    for level in ("--x0", "--x1", "--new", "--j1"):
+        choice.add_argument(level, type=int)
 
-    p = sub.add_parser("witness", parents=[common])
-    w_sub = p.add_subparsers(dest="witness_kind", required=True, parser_class=_Parser)
+    w_sub = group("witness", "witness_kind")
     for kind in ("borel", "lr", "hida"):
-        pw = w_sub.add_parser(kind, parents=[common])
-        pw.add_argument("-p", type=int, required=True, dest="p")
-        pw.set_defaults(handler=_cmd_witness)
+        leaf(w_sub, kind, _cmd_witness).add_argument("-p", type=int, required=True, dest="p")
 
-    p = sub.add_parser("scan", parents=[common])
+    p = leaf(sub, "scan", _cmd_scan)
     p.add_argument("kind", choices=witness.SCAN_KINDS)
     p.add_argument("--from", type=int, required=True, dest="lo")
     p.add_argument("--to", type=int, required=True, dest="hi")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(handler=_cmd_scan)
 
     return top
 

@@ -19,15 +19,6 @@ def _poly_trim(p: list[int]) -> list[int]:
     return p
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     # den is monic with integer coefficients, so quotient and remainder stay
     # integral

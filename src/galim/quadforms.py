@@ -5,8 +5,7 @@ Everything here is specialised to discriminants D = -p with p an odd prime
 congruent to 3 mod 4 (so D is fundamental and odd).  That restriction keeps
 the genus theory trivial -- the class number is odd -- and lets the theta
 machinery identify ideal classes with reduced forms without worrying about
-ambiguous classes.  ``prime_ideal_class`` additionally accepts D = -4, which
-is occasionally useful as a sanity case.
+ambiguous classes.
 
 Two independent routes to the class number are provided on purpose:
 ``class_number`` counts reduced forms, ``class_number_analytic`` evaluates the
@@ -19,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -30,7 +28,6 @@ from .arith import (
     factorize,
     is_prime,
     kronecker,
-    primes_in_range,
     sqrt_mod,
 )
 from .cyclotomic import CycloValue
@@ -461,15 +458,9 @@ def prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
     For split ell the first form uses b = the odd lift of the least square
     root of d mod ell into (0, 2*ell); the second is its inverse class.
     """
-    if d == -4:
-        p = 2
-    else:
-        p = _check_disc(d)
+    p = _check_disc(d)
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    if d == -4 and ell == 2:
-        f = reduce_form(QuadForm(2, 2, 1))
-        return PrimeSplitting(2, "ramified", (f,), f == QuadForm(1, 0, 1))
     sym = kronecker(d, ell)
     if sym == -1:
         return PrimeSplitting(ell, "inert", ())
@@ -571,44 +562,3 @@ def representation_counts(form: QuadForm, bound: int) -> np.ndarray:
     vals = a * xx * xx + b * xx * yy + c * yy * yy
     mask = (vals >= 1) & (vals <= bound)
     return np.bincount(vals[mask], minlength=bound + 1)
-
-
-# ---------------------------------------------------------------------------
-# Class-number growth report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassNumberGrowth:
-    prime: int
-    class_number: int
-    ratio: float  # log h / log sqrt(p)
-
-
-@dataclass(frozen=True)
-class BrauerSiegelReport:
-    rows: tuple[ClassNumberGrowth, ...]
-    ratio_min: float
-    ratio_max: float
-
-
-# the one copy, shared with witness.scan; private, so the per-layer trace,
-# which wraps public names only, counts its time in the callers
-def _brauer_siegel_ratio(p: int, h: int) -> float:
-    """log h / log sqrt(p), exactly 0.0 for h = 1."""
-    return 0.0 if h == 1 else 2.0 * math.log(h) / math.log(p)
-
-
-def brauer_siegel_report(lo: int, hi: int) -> BrauerSiegelReport:
-    """log h / log sqrt(p) for every admissible prime discriminant in
-    [lo, hi]; the ratio tends to 1 but creeps there very slowly."""
-    rows = []
-    for p in primes_in_range(max(lo, 7), hi):
-        if p % 4 != 3:
-            continue
-        h = class_number(-p)
-        rows.append(ClassNumberGrowth(p, h, _brauer_siegel_ratio(p, h)))
-    if not rows:
-        raise ValueError(f"no admissible primes in [{lo}, {hi}]")
-    ratios = [r.ratio for r in rows]
-    return BrauerSiegelReport(tuple(rows), min(ratios), max(ratios))

@@ -19,6 +19,33 @@ from galim.cyclotomic import CycloValue
 from galim.quadforms import QuadForm
 
 
+# one command line per leaf command, each of which takes --format and --out
+LEAF_ARGV = [
+    ["irregular", "--max", "120"],
+    ["classgroup", "-p", "47"],
+    ["theta", "-p", "23", "--coeffs", "12"],
+    ["dickson", "classify", "--field", "7", "--gen", "0,1,6,0", "--gen", "1,1,0,1"],
+    ["inertia", "local", "-p", "7", "-j", "2", "--vcase", "ord"],
+    ["bounds", "exceptional", "-d", "3"],
+    ["dims", "--x0", "389"],
+    ["witness", "hida", "-p", "23"],
+    ["scan", "lr", "--from", "7", "--to", "60"],
+    ["inertia", "eta", "--max", "200"],
+    ["witness", "borel", "-p", "37"],
+    ["witness", "lr", "-p", "7"],
+]
+
+
+def command_words(argv):
+    """The envelope's command: the words before the first option."""
+    words = []
+    for word in argv:
+        if word.startswith("-"):
+            break
+        words.append(word)
+    return " ".join(words)
+
+
 def invoke(argv, capsys):
     rc = cli.main(argv)
     out, err = capsys.readouterr()
@@ -139,23 +166,31 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("flag", ["--format", "--out"])
+    @pytest.mark.parametrize("argv", [
+        ["dickson", "classify", "--field", "7", "--gen", "1,1,0,1"],
+        ["inertia", "local", "-p", "11", "-j", "3", "--vcase", "ss"],
+        ["bounds", "exceptional", "-d", "2"],
+        ["witness", "borel", "-p", "37"],
+    ], ids=lambda argv: argv[0])
+    def test_shared_options_before_the_leaf_word_exit_1(self, argv, flag, tmp_path, capsys):
+        # --format and --out belong to the leaf command: the leaf's default
+        # would overwrite a group-level value, so one is refused
+        target = tmp_path / "report.json"
+        value = "json" if flag == "--format" else str(target)
+        rc, out, err = invoke([argv[0], flag, value] + argv[1:], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("usage error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestJsonRoundTrip:
-    @pytest.mark.parametrize("argv", [
-        ["irregular", "--max", "120"],
-        ["classgroup", "-p", "47"],
-        ["theta", "-p", "23", "--coeffs", "12"],
-        ["dickson", "classify", "--field", "7", "--gen", "0,1,6,0", "--gen", "1,1,0,1"],
-        ["inertia", "local", "-p", "7", "-j", "2", "--vcase", "ord"],
-        ["bounds", "exceptional", "-d", "3"],
-        ["dims", "--x0", "389"],
-        ["witness", "hida", "-p", "23"],
-        ["scan", "lr", "--from", "7", "--to", "60"],
-    ])
+    @pytest.mark.parametrize("argv", LEAF_ARGV)
     def test_output_is_canonical_json(self, argv, capsys):
         rc, out, err = invoke(argv + ["--format", "json"], capsys)
         assert rc == 0, err
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert json.loads(out)["command"] == command_words(argv)
 
 
 class TestScanCli:
@@ -242,11 +277,14 @@ class TestDicksonCli:
 
 class TestOutputFile:
     def test_out_writes_file_and_silences_stdout(self, tmp_path, capsys):
-        direct = invoke_json(["dims", "--x0", "11"], capsys)
-        target = tmp_path / "report.json"
-        rc, out, _ = invoke(["dims", "--x0", "11", "--format", "json", "--out", str(target)], capsys)
-        assert rc == 0 and out == ""
-        assert json.loads(target.read_text()) == direct
+        for i, argv in enumerate(LEAF_ARGV):
+            for fmt in ("text", "json"):
+                rc, direct, err = invoke(argv + ["--format", fmt], capsys)
+                assert rc == 0, err
+                target = tmp_path / f"report{i}.{fmt}"
+                rc, out, err = invoke(argv + ["--format", fmt, "--out", str(target)], capsys)
+                assert rc == 0 and out == "" and err == ""
+                assert target.read_text(encoding="utf-8") == direct
 
 
 class TestConsoleScript:

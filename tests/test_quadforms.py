@@ -359,9 +359,12 @@ class TestPrimeSplitting:
             assert qf.form_square(f) == qf.principal_form(-p)
             assert sp.principal == (f == qf.principal_form(-p))
 
-    def test_gaussian_ramification(self):
-        sp = qf.prime_ideal_class(-4, 2)
-        assert sp.kind == "ramified" and sp.principal
+    def test_gaussian_discriminant_rejected(self):
+        # -4 is not -p for a prime p = 3 mod 4, like every other
+        # inadmissible discriminant
+        for d in (-4, -3, -15, -17):
+            with pytest.raises(ValueError):
+                qf.prime_ideal_class(d, 2)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -491,20 +494,3 @@ class TestRepresentationCounts:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             qf.representation_counts(qf.QuadForm(1, 4, 1), 10)
-
-
-class TestBrauerSiegel:
-    def test_rows_and_bounds(self):
-        rep = qf.brauer_siegel_report(7, 100)
-        by_p = {r.prime: r for r in rep.rows}
-        assert set(by_p) == {7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83}
-        for r in rep.rows:
-            assert r.class_number == KNOWN_H.get(r.prime, r.class_number)
-            want = 0.0 if r.class_number == 1 else 2 * math.log(r.class_number) / math.log(r.prime)
-            assert r.ratio == pytest.approx(want)
-        assert rep.ratio_min == 0.0
-        assert rep.ratio_max == pytest.approx(max(r.ratio for r in rep.rows))
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            qf.brauer_siegel_report(24, 26)

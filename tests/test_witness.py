@@ -137,6 +137,7 @@ class TestScan:
     def test_brauer_siegel_scan(self):
         rep = witness.scan("brauer_siegel", 7, 100)
         by_p = {r["p"]: r["h"] for r in rep.items}
+        assert set(by_p) == {7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83}
         assert by_p[23] == 3 and by_p[47] == 5 and by_p[71] == 7
         for r in rep.items:
             expected = 0.0 if r["h"] == 1 else 2 * math.log(r["h"]) / math.log(r["p"])
@@ -145,12 +146,6 @@ class TestScan:
         assert rep.aggregates["ratio_max"] == pytest.approx(
             2 * math.log(7) / math.log(71)
         )
-        # the scan and the report share one ratio routine, so they agree
-        # exactly, not just to rounding
-        report = quadforms.brauer_siegel_report(7, 100)
-        assert [(r["p"], r["h"], r["ratio"]) for r in rep.items] == [
-            (r.prime, r.class_number, r.ratio) for r in report.rows
-        ]
 
     def test_caches_stay_bounded_over_a_long_scan(self, monkeypatch):
         bound = quadforms.CACHE_MAXSIZE
