@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galim import quadforms as qf
+from galim import witness
 from galim.arith import is_prime, primes_in_range
 from galim.cyclotomic import CycloValue
 
@@ -494,3 +495,18 @@ class TestRepresentationCounts:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             qf.representation_counts(qf.QuadForm(1, 4, 1), 10)
+
+
+class TestBrauerSiegel:
+    def test_rows_and_bounds(self):
+        # the Brauer-Siegel rows come from the scan route; their class numbers
+        # must match the classical table and their ratios log h / log sqrt(p)
+        rep = witness.scan("brauer_siegel", 7, 100)
+        by_p = {r["p"]: r for r in rep.items}
+        assert set(by_p) == {7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83}
+        for r in rep.items:
+            assert r["h"] == KNOWN_H[r["p"]] == qf.class_number(-r["p"])
+            want = 0.0 if r["h"] == 1 else 2 * math.log(r["h"]) / math.log(r["p"])
+            assert r["ratio"] == pytest.approx(want)
+        assert rep.aggregates["ratio_min"] == 0.0
+        assert rep.aggregates["ratio_max"] == pytest.approx(max(r["ratio"] for r in rep.items))

@@ -137,7 +137,6 @@ class TestScan:
     def test_brauer_siegel_scan(self):
         rep = witness.scan("brauer_siegel", 7, 100)
         by_p = {r["p"]: r["h"] for r in rep.items}
-        assert set(by_p) == {7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83}
         assert by_p[23] == 3 and by_p[47] == 5 and by_p[71] == 7
         for r in rep.items:
             expected = 0.0 if r["h"] == 1 else 2 * math.log(r["h"]) / math.log(r["p"])
