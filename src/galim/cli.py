@@ -39,6 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Misplaced(argparse.Action):
+    # a leaf-only option seen before the leaf word: name it and say where it goes
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _UsageError(f"{option_string} goes after the last command word")
+
+
 def serialize(obj):
     """Recursively convert report objects into JSON-ready structures."""
     if isinstance(obj, bool):
@@ -290,10 +296,14 @@ def _render(env: ReportEnvelope, fmt: str) -> str:
 
 def _build_parser() -> _Parser:
     # --format and --out go on leaf commands only: argparse would overwrite a
-    # group parser's copy with the leaf's default, so a group copy does nothing
+    # group parser's copy with the leaf's default, so the top and group
+    # parsers carry a copy that only refuses them by name
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", metavar="FILE", default=None)
+    misplaced = _Parser(add_help=False)
+    for flag in ("--format", "--out"):
+        misplaced.add_argument(flag, action=_Misplaced, help=argparse.SUPPRESS)
 
     def leaf(subparsers, name: str, handler) -> _Parser:
         p = subparsers.add_parser(name, parents=[common])
@@ -301,9 +311,10 @@ def _build_parser() -> _Parser:
         return p
 
     def group(name: str, dest: str):
-        return sub.add_parser(name).add_subparsers(dest=dest, required=True, parser_class=_Parser)
+        parser = sub.add_parser(name, parents=[misplaced])
+        return parser.add_subparsers(dest=dest, required=True, parser_class=_Parser)
 
-    top = _Parser(prog="galim", description=__doc__)
+    top = _Parser(prog="galim", description=__doc__, parents=[misplaced])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = leaf(sub, "irregular", _cmd_irregular)

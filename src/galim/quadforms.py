@@ -282,14 +282,53 @@ def _span(
     return out
 
 
+# A walk table maps each form f to (walk, i) where walk lists g^0 = 1, g,
+# g^2, ... for some g of order len(walk) and f = walk[i]: one walk of a
+# generator's powers serves every power and order in its cyclic subgroup.
+_Walks = dict[QuadForm, tuple[list[QuadForm], int]]
+
+
+def _walks(forms: list[QuadForm], identity: QuadForm, h: int) -> _Walks:
+    """Walk the powers of each form not yet covered, in sorted order, one
+    composition per step, until the walk returns to the identity."""
+    table: _Walks = {}
+    for f in sorted(forms):
+        if f in table:
+            continue
+        walk = [identity]
+        y = f
+        while y != identity:
+            if len(walk) >= h:
+                raise InternalInconsistencyError(f"powers of {f} do not return within {h}")
+            walk.append(y)
+            y = compose(y, f)
+        if h % len(walk):
+            raise InternalInconsistencyError(f"order {len(walk)} of {f} does not divide {h}")
+        for i, x in enumerate(walk):
+            table.setdefault(x, (walk, i))
+    return table
+
+
+def _power(walks: _Walks, f: QuadForm, n: int) -> QuadForm:
+    """f^n read from the walk table; negative n works the same way."""
+    walk, i = walks[f]
+    return walk[i * n % len(walk)]
+
+
+def _order(walks: _Walks, f: QuadForm) -> int:
+    walk, i = walks[f]
+    return len(walk) // gcd(i, len(walk))
+
+
 def _sylow_basis(
-    elems: list[QuadForm], q: int, identity: QuadForm
+    elems: list[QuadForm], q: int, identity: QuadForm, walks: _Walks
 ) -> tuple[list[QuadForm], list[int]]:
     """Basis of a finite abelian q-group given as a list of reduced forms.
 
     Greedy maximal-order-in-quotient with the divisibility correction; ties
     are broken by the lexicographically least form so the output is
-    deterministic.
+    deterministic.  Every power and order is read from the walk table, so
+    the only compositions are the corrections and the span extensions.
     """
     known: dict[QuadForm, tuple[int, ...]] = {identity: ()}
     basis: list[QuadForm] = []
@@ -304,19 +343,19 @@ def _sylow_basis(
             k = 1
             y = f
             while y not in known:
-                y = form_pow(y, q)
+                y = _power(walks, y, q)
                 k *= q
             if k > best_k:
                 best, best_k = f, k
         assert best is not None
         x, k = best, best_k
-        rem = known[form_pow(x, k)]
+        rem = known[_power(walks, x, k)]
         y = x
         for g, e in zip(basis, rem):
             if e % k:
                 raise InternalInconsistencyError("basis correction not divisible")
-            y = compose(y, form_pow(g, -(e // k)))
-        if form_pow(y, k) != identity:
+            y = compose(y, _power(walks, g, -(e // k)))
+        if _order(walks, y) != k:
             raise InternalInconsistencyError("corrected element has wrong order")
         known = _span(known, y, k)
         basis.append(y)
@@ -328,16 +367,20 @@ def _sylow_basis(
 def class_group(d: int) -> ClassGroup:
     """Full class group with discrete logarithms, cross-checked two ways.
 
-    The form count must equal the analytic class number.  Each Sylow
-    q-subgroup is the set of forms f with f^(q^e) = 1, q^e exactly dividing
-    h, and ``_sylow_basis`` picks its basis greedily.  The dlog table starts
-    from the identity and is extended by each generator in turn, one
-    composition per entry.
+    The analytic class number comes first, so a p it refuses is refused
+    before the reduced forms are enumerated; the form count must equal it.
+    ``_walks`` lists the powers of each form once, one composition per
+    step, and every later power and order is read from that table.  Each
+    Sylow q-subgroup is the set of forms whose order divides q^e, q^e
+    exactly dividing h, and ``_sylow_basis`` picks its basis greedily.  The
+    dlog table starts from the identity and is extended by each generator
+    in turn, one composition per entry.
     """
     p = _check_disc(d)
+    h_analytic = class_number_analytic(d)
     forms = list(reduced_forms(d))
     h = len(forms)
-    if h != class_number_analytic(d):
+    if h != h_analytic:
         raise InternalInconsistencyError(
             f"form count {h} != analytic class number for discriminant {d}"
         )
@@ -348,12 +391,13 @@ def class_group(d: int) -> ClassGroup:
         return ClassGroup(d, 1, (), (), {identity: ()})
 
     # invariant factors, assembled one prime at a time
+    walks = _walks(forms, identity, h)
     per_prime: list[tuple[list[QuadForm], list[int]]] = []
     for q, e in factorize(h).items():
-        sylow = [f for f in forms if form_pow(f, q**e) == identity]
+        sylow = [f for f in forms if q**e % _order(walks, f) == 0]
         if len(sylow) != q ** e:
             raise InternalInconsistencyError(f"Sylow {q}-subgroup has wrong size")
-        basis, basis_orders = _sylow_basis(sylow, q, identity)
+        basis, basis_orders = _sylow_basis(sylow, q, identity, walks)
         ranked = sorted(zip(basis_orders, basis), key=lambda t: (-t[0], t[1]))
         per_prime.append(([f for _, f in ranked], [o for o, _ in ranked]))
 

@@ -160,6 +160,7 @@ class TestExitCodes:
         ["dims", "--x0", "11", "--j1", "7"],       # mutually exclusive
         ["dickson", "classify", "--field", "7", "--gen", "1,2,3"],
         ["classgroup", "-p", "23", "--format", "csv"],
+        ["classgroup", "-p", "100000007"],         # above ANALYTIC_MAX_P
     ])
     def test_usage_errors_exit_1(self, argv, capsys):
         rc, out, err = invoke(argv, capsys)
@@ -175,12 +176,23 @@ class TestExitCodes:
     ], ids=lambda argv: argv[0])
     def test_shared_options_before_the_leaf_word_exit_1(self, argv, flag, tmp_path, capsys):
         # --format and --out belong to the leaf command: the leaf's default
-        # would overwrite a group-level value, so one is refused
+        # would overwrite a group-level value, so one is refused by name
         target = tmp_path / "report.json"
         value = "json" if flag == "--format" else str(target)
-        rc, out, err = invoke([argv[0], flag, value] + argv[1:], capsys)
+        for given in ([flag, value], [f"{flag}={value}"]):
+            rc, out, err = invoke([argv[0], *given] + argv[1:], capsys)
+            assert rc == 1 and out == ""
+            assert err == f"usage error: {flag} goes after the last command word\n"
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("given", [["--format", "json"], ["--out=report.json"]])
+    def test_shared_options_before_the_command_word_exit_1(self, given, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = invoke(given + ["classgroup", "-p", "23"], capsys)
         assert rc == 1 and out == ""
-        assert err.startswith("usage error:")
+        flag = given[0].split("=")[0]
+        assert err == f"usage error: {flag} goes after the last command word\n"
         assert list(tmp_path.iterdir()) == []
 
 

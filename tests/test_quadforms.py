@@ -2,6 +2,7 @@
 class groups, characters, theta series, and the analytic cross-check."""
 
 import cmath
+import itertools
 import math
 import random
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from galim import quadforms as qf
 from galim import witness
-from galim.arith import is_prime, primes_in_range
+from galim.arith import InternalInconsistencyError, factorize, is_prime, primes_in_range
 from galim.cyclotomic import CycloValue
 
 # classical class numbers h(-p) for prime p = 3 mod 4
@@ -70,6 +71,65 @@ def eta_product_coefficients(level: int, bound: int) -> list[int]:
     out = np.zeros(bound + 1, dtype=np.int64)
     out[1:] = series[:bound]  # the leading q shift
     return out.tolist()
+
+
+def sylow_basis_oracle(elems, q, identity):
+    # the greedy basis with every power taken by form_pow from scratch
+    known = {identity: ()}
+    basis, orders = [], []
+    elems_sorted = sorted(elems)
+    while len(known) < len(elems):
+        best, best_k = None, 0
+        for f in elems_sorted:
+            if f in known:
+                continue
+            k, y = 1, f
+            while y not in known:
+                y = qf.form_pow(y, q)
+                k *= q
+            if k > best_k:
+                best, best_k = f, k
+        x, k = best, best_k
+        rem = known[qf.form_pow(x, k)]
+        y = x
+        for g, e in zip(basis, rem):
+            assert e % k == 0
+            y = qf.compose(y, qf.form_pow(g, -(e // k)))
+        assert qf.form_pow(y, k) == identity
+        known = qf._span(known, y, k)
+        basis.append(y)
+        orders.append(k)
+    return basis, orders
+
+
+def class_group_oracle(d):
+    # class_group with Sylow membership and the basis by form_pow, no walks
+    forms = list(qf.reduced_forms(d))
+    h = len(forms)
+    identity = qf.principal_form(d)
+    if h == 1:
+        return qf.ClassGroup(d, 1, (), (), {identity: ()})
+    per_prime = []
+    for q, e in factorize(h).items():
+        sylow = [f for f in forms if qf.form_pow(f, q**e) == identity]
+        assert len(sylow) == q**e
+        basis, basis_orders = sylow_basis_oracle(sylow, q, identity)
+        ranked = sorted(zip(basis_orders, basis), key=lambda t: (-t[0], t[1]))
+        per_prime.append(([f for _, f in ranked], [o for o, _ in ranked]))
+    gens_desc, invs_desc = [], []
+    for i in range(max(len(b) for b, _ in per_prime)):
+        g, dord = identity, 1
+        for basis, basis_orders in per_prime:
+            if i < len(basis):
+                g = qf.compose(g, basis[i])
+                dord *= basis_orders[i]
+        gens_desc.append(g)
+        invs_desc.append(dord)
+    structure, generators = tuple(reversed(invs_desc)), tuple(reversed(gens_desc))
+    dlog = {identity: ()}
+    for g, di in zip(generators, structure):
+        dlog = qf._span(dlog, g, di)
+    return qf.ClassGroup(d, h, structure, generators, dlog)
 
 
 def embed(v: CycloValue) -> complex:
@@ -152,6 +212,12 @@ class TestClassNumber:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_class_group_refuses_p_above_the_limit_before_enumerating_forms(self):
+        misses = qf.reduced_forms.cache_info().misses
+        with pytest.raises(ValueError, match="analytic class number needs p <="):
+            qf.class_group(-100000007)
+        assert qf.reduced_forms.cache_info().misses == misses
 
     def test_h_odd_and_prime_to_p(self):
         for p in KNOWN_H:
@@ -257,6 +323,39 @@ class TestClassGroup:
             for gen, e in zip(grp.generators, exps):
                 g = qf.compose(g, qf.form_pow(gen, e))
             assert g == f
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([p for p in primes_in_range(7, 40000) if p % 4 == 3]))
+    @example(3299)
+    @example(4027)
+    @example(12451)
+    @example(19427)
+    @example(19919)
+    def test_matches_form_pow_oracle(self, p):
+        # structure, generators and the whole dlog table
+        assert qf.class_group(-p) == class_group_oracle(-p)
+
+    @pytest.mark.parametrize("p", [3299, 4027, 19919])
+    def test_walk_orders_are_least_exponents(self, p):
+        forms = list(qf.reduced_forms(-p))
+        e = qf.principal_form(-p)
+        walks = qf._walks(forms, e, len(forms))
+        assert set(walks) == set(forms)
+        for f in forms:
+            least = next(n for n in itertools.count(1) if qf.form_pow(f, n) == e)
+            assert qf._order(walks, f) == least, f
+            for n in (-least - 1, -1, 0, 1, 2, least + 1):
+                assert qf._power(walks, f, n) == qf.form_pow(f, n), (f, n)
+
+    def test_walks_check_their_lengths(self):
+        # the least form after the identity has order 9 in a group of order
+        # 27: a bound of 7 stops its walk, and 9 does not divide a bound of 10
+        forms = list(qf.reduced_forms(-3299))
+        e = qf.principal_form(-3299)
+        with pytest.raises(InternalInconsistencyError, match="do not return"):
+            qf._walks(forms, e, 7)
+        with pytest.raises(InternalInconsistencyError, match="does not divide"):
+            qf._walks(forms, e, 10)
 
     def test_dlog_is_group_isomorphism(self):
         rng = random.Random(11)
