@@ -28,6 +28,15 @@ _MR_LIMIT = 1 << 62
 class InternalInconsistencyError(RuntimeError):
     """Two routes that must agree did not.  Always a bug, never user error."""
 
+
+# Entries kept by each memoised table (cyclotomic polynomials and power
+# tables in cyclotomic, reduced forms, class groups and splitting logs in
+# quadforms, the genus and dimension tables in dims), so memory stays bounded
+# however long a scan runs.  A scan moves through its discriminants and
+# levels in order and never returns to one, so the least recently used
+# entries it drops are never needed again.
+CACHE_MAXSIZE = 1024
+
 _EULER_GAMMA = 0.5772156649015328606
 TOTIENT_LIMINF = math.exp(-_EULER_GAMMA)
 

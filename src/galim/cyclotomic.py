@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .arith import CACHE_MAXSIZE
+
 
 def _poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
@@ -36,7 +38,7 @@ def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[
     return _poly_trim(quot), _poly_trim(num[:dn])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
     if m < 1:
@@ -54,6 +56,28 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _high_powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """Rows x^k mod Phi_m for phi(m) <= k < m, each of length phi(m).
+
+    Built by shift-and-subtract: x^phi = -(Phi_m - x^phi), and x times a
+    row shifts it up, the coefficient t pushed to x^phi coming back as t
+    times that first row.  The table holds (m - phi(m)) * phi(m) integers.
+    """
+    phi_poly = cyclotomic_poly(m)
+    phi = len(phi_poly) - 1
+    low = phi_poly[:phi]
+    row = [-c for c in low]
+    rows = []
+    for _ in range(phi, m):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, low)]
+    return tuple(rows)
+
+
 class CycloValue:
     """An element of Z[zeta_m], stored as a length-m group-ring vector."""
 
@@ -62,13 +86,13 @@ class CycloValue:
     def __init__(self, m: int, coeffs=()):
         if m < 1:
             raise ValueError("CycloValue needs order m >= 1")
-        vec = [0] * m
-        for i, c in enumerate(coeffs):
-            if i >= m:
-                raise ValueError("coefficient vector longer than the order")
-            vec[i] = int(c)
+        vec = tuple(map(int, coeffs))
+        if len(vec) > m:
+            raise ValueError("coefficient vector longer than the order")
+        if len(vec) < m:
+            vec += (0,) * (m - len(vec))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "coeffs", vec)
         object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, name, value):
@@ -127,11 +151,11 @@ class CycloValue:
             return o
         m = self.m
         out = [0] * m
+        right = [(j, y) for j, y in enumerate(o.coeffs) if y]
         for i, x in enumerate(self.coeffs):
             if x:
-                for j, y in enumerate(o.coeffs):
-                    if y:
-                        out[(i + j) % m] += x * y
+                for j, y in right:
+                    out[(i + j) % m] += x * y
         return CycloValue(m, out)
 
     __rmul__ = __mul__
@@ -146,11 +170,20 @@ class CycloValue:
         return (CycloValue, (self.m, list(self.coeffs)))
 
     def canonical(self) -> tuple[int, ...]:
-        """Remainder mod the m-th cyclotomic polynomial, zero-padded to m."""
+        """Remainder mod the m-th cyclotomic polynomial, zero-padded to m.
+
+        The low phi(m) coefficients stay as they are, and each nonzero
+        coefficient c_k above them adds c_k times the cached row x^k mod
+        Phi_m, so no value needs a polynomial division.
+        """
         if self._canon is None:
-            _, rem = _poly_divmod_monic(list(self.coeffs), list(cyclotomic_poly(self.m)))
-            rem = tuple(rem) + (0,) * (self.m - len(rem))
-            object.__setattr__(self, "_canon", rem)
+            rows = _high_powers(self.m)
+            phi = self.m - len(rows)
+            rem = list(self.coeffs[:phi])
+            for c, row in zip(self.coeffs[phi:], rows):
+                if c:
+                    rem = [r + c * x for r, x in zip(rem, row)]
+            object.__setattr__(self, "_canon", tuple(rem) + (0,) * len(rows))
         return self._canon
 
     def is_zero(self) -> bool:

@@ -12,8 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import divisors, factorize, is_prime, kronecker, totient
-from .quadforms import CACHE_MAXSIZE
+from .arith import CACHE_MAXSIZE, divisors, factorize, is_prime, kronecker, totient
 
 
 @dataclass(frozen=True)

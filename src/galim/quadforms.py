@@ -24,6 +24,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .arith import (
+    CACHE_MAXSIZE,
     InternalInconsistencyError,
     factorize,
     is_prime,
@@ -32,16 +33,9 @@ from .arith import (
 )
 from .cyclotomic import CycloValue
 
-# Entries kept by each memoised table (reduced forms, class groups and
-# splitting logs below, the genus and dimension tables in dims), so memory
-# stays bounded however long a scan runs.  A scan moves through its
-# discriminants and levels in order and never returns to one, so the least
-# recently used entries it drops are never needed again.
-CACHE_MAXSIZE = 1024
-
-# Largest p for which class_number_analytic evaluates its character sum: the
-# sum holds (p-1)/2 int64 squares plus a mask, about 4.5p bytes (450 MB at
-# the limit), and a^2 stays far below 2^63.
+# Largest p for which class_number_analytic evaluates its character sum (it
+# holds (p-1)/2 int64 squares plus a mask, about 4.5p bytes, 450 MB at the
+# limit, and a^2 stays far below 2^63) and reduced_forms runs its O(p) loop.
 ANALYTIC_MAX_P = 10**8
 
 
@@ -104,8 +98,14 @@ def reduce_form(form: QuadForm) -> QuadForm:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def reduced_forms(d: int) -> tuple[QuadForm, ...]:
-    """All reduced forms of discriminant d, sorted lexicographically."""
-    _check_disc(d)
+    """All reduced forms of discriminant d, sorted lexicographically.
+
+    The loop runs over O(p) pairs (a, b), so p above ``ANALYTIC_MAX_P`` is
+    refused before it starts.
+    """
+    p = _check_disc(d)
+    if p > ANALYTIC_MAX_P:
+        raise ValueError(f"reduced forms need p <= {ANALYTIC_MAX_P}, got {p}")
     out = []
     amax = isqrt(-d // 3)
     for a in range(1, amax + 1):
@@ -213,31 +213,6 @@ def form_square(f: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(a * a, b - 2 * a * mu, mu * mu - (b * mu - c) // a))
 
 
-def form_inverse(f: QuadForm) -> QuadForm:
-    return reduce_form(QuadForm(f.a, -f.b, f.c))
-
-
-def form_pow(f: QuadForm, n: int) -> QuadForm:
-    if n < 0:
-        return form_pow(form_inverse(f), -n)
-    if n == 0:
-        return principal_form(f.discriminant())
-    # start from the lowest set bit, so the discriminant (validated by
-    # principal_form) is not rechecked on every call
-    base = reduce_form(f)
-    while not n & 1:
-        base = form_square(base)
-        n >>= 1
-    result = base
-    n >>= 1
-    while n:
-        base = form_square(base)
-        if n & 1:
-            result = compose(result, base)
-        n >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Class group structure
 # ---------------------------------------------------------------------------
@@ -267,19 +242,6 @@ class ClassGroup:
         if key not in self.dlog:
             raise ValueError(f"{form} does not have discriminant {self.discriminant}")
         return self.dlog[key]
-
-
-def _span(
-    known: dict[QuadForm, tuple[int, ...]], y: QuadForm, k: int
-) -> dict[QuadForm, tuple[int, ...]]:
-    """Extend a dlog table by y of order k modulo its span: each a * y^j,
-    j < k, gets known[a] + (j,), at one composition per entry."""
-    out = {a: exps + (0,) for a, exps in known.items()}
-    layer = list(known.items())
-    for j in range(1, k):
-        layer = [(compose(a, y), exps) for a, exps in layer]
-        out.update((a, exps + (j,)) for a, exps in layer)
-    return out
 
 
 # A walk table maps each form f to (walk, i) where walk lists g^0 = 1, g,
@@ -320,6 +282,23 @@ def _order(walks: _Walks, f: QuadForm) -> int:
     return len(walk) // gcd(i, len(walk))
 
 
+def _span(
+    known: dict[QuadForm, tuple[int, ...]], y: QuadForm, k: int, walks: _Walks
+) -> dict[QuadForm, tuple[int, ...]]:
+    """Extend a dlog table by y of order k modulo its span: each a * y^j,
+    j < k, gets known[a] + (j,).  The identity's entries y^j are read from
+    the walk table, and every other entry costs one composition, so a span
+    from the identity alone (a cyclic group's dlog) composes nothing."""
+    identity = _power(walks, y, 0)
+    out = {a: exps + (0,) for a, exps in known.items()}
+    layer = [(a, exps) for a, exps in known.items() if a != identity]
+    for j in range(1, k):
+        out[_power(walks, y, j)] = known[identity] + (j,)
+        layer = [(compose(a, y), exps) for a, exps in layer]
+        out.update((a, exps + (j,)) for a, exps in layer)
+    return out
+
+
 def _sylow_basis(
     elems: list[QuadForm], q: int, identity: QuadForm, walks: _Walks
 ) -> tuple[list[QuadForm], list[int]]:
@@ -357,7 +336,7 @@ def _sylow_basis(
             y = compose(y, _power(walks, g, -(e // k)))
         if _order(walks, y) != k:
             raise InternalInconsistencyError("corrected element has wrong order")
-        known = _span(known, y, k)
+        known = _span(known, y, k, walks)
         basis.append(y)
         orders.append(k)
     return basis, orders
@@ -374,7 +353,8 @@ def class_group(d: int) -> ClassGroup:
     Sylow q-subgroup is the set of forms whose order divides q^e, q^e
     exactly dividing h, and ``_sylow_basis`` picks its basis greedily.  The
     dlog table starts from the identity and is extended by each generator
-    in turn, one composition per entry.
+    in turn by ``_span``: the generator's own powers come from the walk
+    table, every other entry costs one composition.
     """
     p = _check_disc(d)
     h_analytic = class_number_analytic(d)
@@ -422,7 +402,7 @@ def class_group(d: int) -> ClassGroup:
 
     dlog: dict[QuadForm, tuple[int, ...]] = {identity: ()}
     for g, di in zip(generators, structure):
-        dlog = _span(dlog, g, di)
+        dlog = _span(dlog, g, di, walks)
     if len(dlog) != h or set(dlog) != set(forms):
         raise InternalInconsistencyError(f"dlog table does not enumerate the group for {d}")
     return ClassGroup(d, h, structure, generators, dlog)
@@ -560,8 +540,10 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     at the prime above l, the local factor a_(l^e) is 1 or 0 for inert l as
     e is even or odd, zeta^(ek) for the ramified prime, and for split l the
     sum of zeta^((2i-e)k) over the e+1 ideals P^i Pbar^(e-i), 0 <= i <= e.
-    So each a_n costs one product of cyclotomic vectors, and the raw vector
-    is the histogram of character exponents over the ideals of norm n.
+    Each a_n is kept as a sparse histogram {exponent: ideal count} over the
+    ideals of norm n, the local histogram times that of a_(n / l^e), so it
+    costs about (ideals of norm n) operations; the raw vector of a_n is
+    that histogram, made into one cyclotomic vector at the end.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -569,13 +551,14 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     if char.structure != grp.structure:
         raise ValueError("character does not belong to this class group")
     m = char.order
-    coeffs: list[CycloValue] = [CycloValue.zero(m), CycloValue.from_int(m, 1)]
+    hists: list[dict[int, int]] = [{}, {0: 1}]
     for n in range(2, bound + 1):
         ell, e = next(iter(factorize(n).items()))
         kind, dl = _splitting_dlog(d, ell)
-        local = [0] * m
+        local: dict[int, int] = {}
         if kind == "inert":
-            local[0] = 1 - e % 2
+            if e % 2 == 0:
+                local[0] = 1
         else:
             assert dl is not None
             k = char._power(dl)
@@ -583,8 +566,20 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
                 local[e * k % m] = 1
             else:
                 for i in range(e + 1):
-                    local[(2 * i - e) * k % m] += 1
-        coeffs.append(CycloValue(m, local) * coeffs[n // ell**e])
+                    t = (2 * i - e) * k % m
+                    local[t] = local.get(t, 0) + 1
+        hist: dict[int, int] = {}
+        for a, x in local.items():
+            for b, y in hists[n // ell**e].items():
+                t = (a + b) % m
+                hist[t] = hist.get(t, 0) + x * y
+        hists.append(hist)
+    coeffs = []
+    for hist in hists:
+        vec = [0] * m
+        for t, c in hist.items():
+            vec[t] = c
+        coeffs.append(CycloValue(m, vec))
     return QExpansion(d, char.exponents, m, tuple(coeffs))
 
 

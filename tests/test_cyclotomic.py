@@ -6,12 +6,32 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from galim.cyclotomic import CycloValue, cyclotomic_poly
+from galim.cyclotomic import CycloValue, _poly_divmod_monic, cyclotomic_poly
 
 
 def rand_value(rng: random.Random, m: int) -> CycloValue:
     return CycloValue(m, [rng.randrange(-9, 10) for _ in range(m)])
+
+
+def canonical_oracle(v: CycloValue) -> tuple[int, ...]:
+    # the remainder by long division, zero-padded to m
+    _, rem = _poly_divmod_monic(list(v.coeffs), list(cyclotomic_poly(v.m)))
+    return tuple(rem) + (0,) * (v.m - len(rem))
+
+
+@st.composite
+def cyclo_values(draw):
+    m = draw(st.integers(1, 400))
+    entries = st.integers(-(10**6), 10**6) | st.integers(-(2**80), 2**80)
+    if draw(st.booleans()):
+        return CycloValue(m, draw(st.lists(entries, min_size=m, max_size=m)))
+    vec = [0] * m
+    for k, c in draw(st.dictionaries(st.integers(0, m - 1), entries, max_size=4)).items():
+        vec[k] = c
+    return CycloValue(m, vec)
 
 
 class TestCyclotomicPoly:
@@ -99,6 +119,17 @@ class TestCanonical:
         assert (CycloValue.zeta(3) + CycloValue.zeta(3, 2)).to_int() == -1
         with pytest.raises(ValueError):
             CycloValue.zeta(5).to_int()
+
+    @settings(max_examples=50)
+    @given(cyclo_values())
+    @example(CycloValue(105, [1] * 105))
+    @example(CycloValue.zeta(105, 104))
+    @example(CycloValue(385, [(-1) ** k * k for k in range(385)]))
+    @example(CycloValue.zeta(385, 384))
+    @example(CycloValue.zeta(1))
+    def test_matches_long_division(self, v):
+        # Phi_105 and Phi_385 have coefficients outside -1..1
+        assert v.canonical() == canonical_oracle(v)
 
     def test_zeta_exponent_wraps(self):
         assert CycloValue.zeta(6, 7) == CycloValue.zeta(6, 1)

@@ -73,6 +73,42 @@ def eta_product_coefficients(level: int, bound: int) -> list[int]:
     return out.tolist()
 
 
+def form_inverse(f):
+    return qf.reduce_form(qf.QuadForm(f.a, -f.b, f.c))
+
+
+def form_pow(f, n):
+    # binary powering, independent of the walk table
+    if n < 0:
+        return form_pow(form_inverse(f), -n)
+    if n == 0:
+        return qf.principal_form(f.discriminant())
+    # start from the lowest set bit, so the discriminant (validated by
+    # principal_form) is not rechecked on every call
+    base = qf.reduce_form(f)
+    while not n & 1:
+        base = qf.form_square(base)
+        n >>= 1
+    result = base
+    n >>= 1
+    while n:
+        base = qf.form_square(base)
+        if n & 1:
+            result = qf.compose(result, base)
+        n >>= 1
+    return result
+
+
+def span_oracle(known, y, k):
+    # every entry a * y^j by one composition, the identity's row included
+    out = {a: exps + (0,) for a, exps in known.items()}
+    layer = list(known.items())
+    for j in range(1, k):
+        layer = [(qf.compose(a, y), exps) for a, exps in layer]
+        out.update((a, exps + (j,)) for a, exps in layer)
+    return out
+
+
 def sylow_basis_oracle(elems, q, identity):
     # the greedy basis with every power taken by form_pow from scratch
     known = {identity: ()}
@@ -85,18 +121,18 @@ def sylow_basis_oracle(elems, q, identity):
                 continue
             k, y = 1, f
             while y not in known:
-                y = qf.form_pow(y, q)
+                y = form_pow(y, q)
                 k *= q
             if k > best_k:
                 best, best_k = f, k
         x, k = best, best_k
-        rem = known[qf.form_pow(x, k)]
+        rem = known[form_pow(x, k)]
         y = x
         for g, e in zip(basis, rem):
             assert e % k == 0
-            y = qf.compose(y, qf.form_pow(g, -(e // k)))
-        assert qf.form_pow(y, k) == identity
-        known = qf._span(known, y, k)
+            y = qf.compose(y, form_pow(g, -(e // k)))
+        assert form_pow(y, k) == identity
+        known = span_oracle(known, y, k)
         basis.append(y)
         orders.append(k)
     return basis, orders
@@ -111,7 +147,7 @@ def class_group_oracle(d):
         return qf.ClassGroup(d, 1, (), (), {identity: ()})
     per_prime = []
     for q, e in factorize(h).items():
-        sylow = [f for f in forms if qf.form_pow(f, q**e) == identity]
+        sylow = [f for f in forms if form_pow(f, q**e) == identity]
         assert len(sylow) == q**e
         basis, basis_orders = sylow_basis_oracle(sylow, q, identity)
         ranked = sorted(zip(basis_orders, basis), key=lambda t: (-t[0], t[1]))
@@ -128,8 +164,28 @@ def class_group_oracle(d):
     structure, generators = tuple(reversed(invs_desc)), tuple(reversed(gens_desc))
     dlog = {identity: ()}
     for g, di in zip(generators, structure):
-        dlog = qf._span(dlog, g, di)
+        dlog = span_oracle(dlog, g, di)
     return qf.ClassGroup(d, h, structure, generators, dlog)
+
+
+def theta_oracle(d, char, bound):
+    # each a_n as one product of dense cyclotomic vectors, local factor
+    # times a_(n / l^e)
+    m = char.order
+    coeffs = [CycloValue.zero(m), CycloValue.from_int(m, 1)]
+    for n in range(2, bound + 1):
+        ell, e = next(iter(factorize(n).items()))
+        kind, dl = qf._splitting_dlog(d, ell)
+        local = [0] * m
+        if kind == "inert":
+            local[0] = 1 - e % 2
+        elif kind == "ramified":
+            local[e * char._power(dl) % m] = 1
+        else:
+            for i in range(e + 1):
+                local[(2 * i - e) * char._power(dl) % m] += 1
+        coeffs.append(CycloValue(m, local) * coeffs[n // ell**e])
+    return coeffs
 
 
 def embed(v: CycloValue) -> complex:
@@ -219,6 +275,16 @@ class TestClassNumber:
             qf.class_group(-100000007)
         assert qf.reduced_forms.cache_info().misses == misses
 
+    def test_reduced_forms_refuse_p_above_the_limit(self):
+        # refused before the O(p) loop: class_number and the brauer_siegel
+        # scan have an explicit limit too
+        p = qf.ANALYTIC_MAX_P + 1
+        while p % 4 != 3 or not is_prime(p):
+            p += 1
+        for route in (qf.reduced_forms, qf.class_number):
+            with pytest.raises(ValueError, match=f"reduced forms need p <= {qf.ANALYTIC_MAX_P}, got {p}"):
+                route(-p)
+
     def test_h_odd_and_prime_to_p(self):
         for p in KNOWN_H:
             h = qf.class_number(-p)
@@ -236,7 +302,7 @@ class TestComposition:
                 assert qf.compose(f, g) == qf.compose(g, f)
                 assert qf.compose(qf.compose(f, g), k) == qf.compose(f, qf.compose(g, k))
                 assert qf.compose(f, e) == f
-                assert qf.compose(f, qf.form_inverse(f)) == e
+                assert qf.compose(f, form_inverse(f)) == e
 
     def test_square_matches_general_composition(self):
         for d in (-23, -47, -3299):
@@ -255,8 +321,8 @@ class TestComposition:
             for _ in range(abs(n)):
                 acc = qf.compose(acc, f)
             if n < 0:
-                acc = qf.form_inverse(acc)
-            assert qf.form_pow(f, n) == acc
+                acc = form_inverse(acc)
+            assert form_pow(f, n) == acc
 
     def test_positive_powers_do_not_revalidate_the_discriminant(self, monkeypatch):
         forms = qf.reduced_forms(-167)
@@ -265,9 +331,9 @@ class TestComposition:
         monkeypatch.setattr(qf, "is_prime", lambda n: calls.append(n) or real(n))
         for f in forms:
             for n in (1, 2, 5, 8, 11, -3):
-                qf.form_pow(f, n)
+                form_pow(f, n)
         assert calls == []
-        assert qf.form_pow(forms[0], 0) == qf.QuadForm(1, 1, 42)
+        assert form_pow(forms[0], 0) == qf.QuadForm(1, 1, 42)
         assert calls == [167]
 
     def test_mixed_discriminants_rejected(self):
@@ -321,7 +387,7 @@ class TestClassGroup:
         for f, exps in grp.dlog.items():
             g = grp.identity
             for gen, e in zip(grp.generators, exps):
-                g = qf.compose(g, qf.form_pow(gen, e))
+                g = qf.compose(g, form_pow(gen, e))
             assert g == f
 
     @settings(max_examples=40)
@@ -342,10 +408,10 @@ class TestClassGroup:
         walks = qf._walks(forms, e, len(forms))
         assert set(walks) == set(forms)
         for f in forms:
-            least = next(n for n in itertools.count(1) if qf.form_pow(f, n) == e)
+            least = next(n for n in itertools.count(1) if form_pow(f, n) == e)
             assert qf._order(walks, f) == least, f
             for n in (-least - 1, -1, 0, 1, 2, least + 1):
-                assert qf._power(walks, f, n) == qf.form_pow(f, n), (f, n)
+                assert qf._power(walks, f, n) == form_pow(f, n), (f, n)
 
     def test_walks_check_their_lengths(self):
         # the least form after the identity has order 9 in a group of order
@@ -372,9 +438,9 @@ class TestClassGroup:
     def test_generator_orders(self):
         grp = qf.class_group(-3299)
         for g, order in zip(grp.generators, grp.structure):
-            assert qf.form_pow(g, order) == grp.identity
+            assert form_pow(g, order) == grp.identity
             for q in (3,):  # proper divisor check
-                assert qf.form_pow(g, order // q) != grp.identity
+                assert form_pow(g, order // q) != grp.identity
 
     def test_exponents_of_rejects_foreign_form(self):
         grp = qf.class_group(-23)
@@ -561,6 +627,22 @@ class TestTheta:
                         assert r[n] % 2 == 0
                         want = want + values[q] * (int(r[n]) // 2)
                 assert theta.coefficients[n] == want, (p, char.exponents, n)
+
+    @settings(max_examples=15)
+    @given(st.sampled_from([p for p in primes_in_range(7, 20000) if p % 4 == 3]))
+    @example(18959)
+    @example(19319)
+    def test_matches_dense_product_oracle(self, p):
+        # the first character of each order, so every cyclotomic order the
+        # group has is covered; raw vectors compared, not only their classes
+        d = -p
+        firsts = {}
+        for char in qf.characters(d):
+            firsts.setdefault(char.order, char)
+        for char in firsts.values():
+            theta = qf.theta_coefficients(d, char, 120)
+            oracle = theta_oracle(d, char, 120)
+            assert [v.coeffs for v in theta.coefficients] == [v.coeffs for v in oracle]
 
     def test_character_group_mismatch_rejected(self):
         # structure (5,) of disc -47 cannot act on the (3,) group of -23
