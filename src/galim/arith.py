@@ -6,7 +6,8 @@ multiplicative orders, totients, Bernoulli numbers both as exact rationals
 the even series, ``kernels.bernoulli_table_mod``), irregular indices, and the
 primorial totient-ratio report whose values approach exp(-gamma) =
 0.56146... from below.  ``factorize`` trial-divides by the primes below
-2^16, a list built once per process on its first call.
+2^16, a list built once per process on its first call, and tests for
+primality only what remains of n >= 2^32.
 """
 
 from __future__ import annotations
@@ -154,16 +155,24 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
+_TRIAL_LIMIT = 1 << 16
 _trial_primes: list[int] = []
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}.
+
+    Trial division by the primes below 2^16 leaves a cofactor with no prime
+    factor below the last trial prime q.  It is 1 or prime when q * q
+    exceeds it, or when it lies below (2^16 + 1)^2 once every trial prime
+    has been tried: either way it is recorded with no primality test, so
+    ``is_prime`` and Pollard-Brent see only cofactors of n >= 2^32.
+    """
     global _trial_primes
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     if not _trial_primes:
-        _trial_primes = primes_up_to(1 << 16).tolist()
+        _trial_primes = primes_up_to(_TRIAL_LIMIT).tolist()
     out: dict[int, int] = {}
     for q in _trial_primes:
         if q * q > n:
@@ -171,18 +180,21 @@ def factorize(n: int) -> dict[int, int]:
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return dict(sorted(out.items()))
+    else:
+        if n >= (_TRIAL_LIMIT + 1) ** 2:
+            stack = [n]
+            while stack:
+                m = stack.pop()
+                if is_prime(m):
+                    out[m] = out.get(m, 0) + 1
+                    continue
+                d = _pollard_brent(m)
+                stack.append(d)
+                stack.append(m // d)
+            return dict(sorted(out.items()))
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def divisors(n: int) -> list[int]:

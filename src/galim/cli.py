@@ -266,10 +266,54 @@ def _flatten(record: dict) -> dict:
     return out
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, indent: str, out: list[str]) -> None:
+    """Append the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` to
+    ``out``, for obj at nesting ``indent``.  ``json.dumps`` drops to its
+    pure-Python encoder once indent is set; this writer joins each list of
+    plain ints in one call and hands only the other scalars to ``json``."""
+    if type(obj) is int:
+        out.append(str(obj))
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(v) is int for v in obj):
+            out.append("[\n" + inner + (",\n" + inner).join(map(str, obj)) + "\n" + indent + "]")
+            return
+        sep = "[\n" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
 def _render(env: ReportEnvelope, fmt: str) -> str:
     payload = serialize(env)
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out: list[str] = []
+        _write_json(payload, "", out)
+        out.append("\n")
+        return "".join(out)
     if fmt == "csv":
         if not env.command.startswith(("scan", "inertia eta")):
             raise ValueError("csv format is only available for scan outputs")

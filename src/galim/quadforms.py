@@ -78,7 +78,18 @@ def principal_form(d: int) -> QuadForm:
     return QuadForm(1, 1, (1 - d) // 4)
 
 
-def _normalize(a: int, b: int, c: int) -> tuple[int, int, int]:
+# Inside class_group a form is its (a, b, c) tuple, which hashes and
+# compares in C; a QuadForm's generated __hash__ and __eq__ are Python calls.
+_Form = tuple[int, int, int]
+
+
+def _abc(form: QuadForm) -> _Form:
+    if form.a <= 0 or form.discriminant() >= 0:
+        raise ValueError(f"not a positive definite form: {form}")
+    return form.a, form.b, form.c
+
+
+def _normalize(a: int, b: int, c: int) -> _Form:
     # shift b into (-a, a] by a unipotent substitution
     if -a < b <= a:
         return a, b, c
@@ -86,14 +97,16 @@ def _normalize(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, b + 2 * r * a, a * r * r + b * r + c
 
 
-def reduce_form(form: QuadForm) -> QuadForm:
-    """Unique reduced representative of the proper equivalence class."""
-    if form.a <= 0 or form.discriminant() >= 0:
-        raise ValueError(f"not a positive definite form: {form}")
-    a, b, c = _normalize(form.a, form.b, form.c)
+def _reduce(a: int, b: int, c: int) -> _Form:
+    a, b, c = _normalize(a, b, c)
     while a > c or (a == c and b < 0):
         a, b, c = _normalize(c, -b, a)
-    return QuadForm(a, b, c)
+    return a, b, c
+
+
+def reduce_form(form: QuadForm) -> QuadForm:
+    """Unique reduced representative of the proper equivalence class."""
+    return QuadForm(*_reduce(*_abc(form)))
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -187,10 +200,18 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     """Composition of proper equivalence classes, returned reduced."""
     if f1.discriminant() != f2.discriminant():
         raise ValueError("cannot compose forms of different discriminants")
+    return QuadForm(*_compose(_abc(f1), _abc(f2)))
+
+
+def form_square(f: QuadForm) -> QuadForm:
+    return QuadForm(*_square(*_abc(f)))
+
+
+def _compose(f1: _Form, f2: _Form) -> _Form:
     if f1 == f2:
-        return form_square(f1)
-    a1, b1, c1 = f1.a, f1.b, f1.c
-    a2, b2, c2 = f2.a, f2.b, f2.c
+        return _square(*f1)
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
     g = (b1 + b2) // 2
     h = (b2 - b1) // 2
     w = gcd(gcd(a1, a2), g)
@@ -204,13 +225,12 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     k = mu + nu * lam
     ell = (k * t - h) // s
     m = (t * u * k - h * u - c1 * s) // st
-    return reduce_form(QuadForm(st, j * u - (k * t + ell * s), k * ell - j * m))
+    return _reduce(st, j * u - (k * t + ell * s), k * ell - j * m)
 
 
-def form_square(f: QuadForm) -> QuadForm:
-    a, b, c = f.a, f.b, f.c
+def _square(a: int, b: int, c: int) -> _Form:
     mu, _ = _solve_linmod(b, c, a)
-    return reduce_form(QuadForm(a * a, b - 2 * a * mu, mu * mu - (b * mu - c) // a))
+    return _reduce(a * a, b - 2 * a * mu, mu * mu - (b * mu - c) // a)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +267,10 @@ class ClassGroup:
 # A walk table maps each form f to (walk, i) where walk lists g^0 = 1, g,
 # g^2, ... for some g of order len(walk) and f = walk[i]: one walk of a
 # generator's powers serves every power and order in its cyclic subgroup.
-_Walks = dict[QuadForm, tuple[list[QuadForm], int]]
+_Walks = dict[_Form, tuple[list[_Form], int]]
 
 
-def _walks(forms: list[QuadForm], identity: QuadForm, h: int) -> _Walks:
+def _walks(forms: list[_Form], identity: _Form, h: int) -> _Walks:
     """Walk the powers of each form not yet covered, in sorted order, one
     composition per step, until the walk returns to the identity."""
     table: _Walks = {}
@@ -263,7 +283,7 @@ def _walks(forms: list[QuadForm], identity: QuadForm, h: int) -> _Walks:
             if len(walk) >= h:
                 raise InternalInconsistencyError(f"powers of {f} do not return within {h}")
             walk.append(y)
-            y = compose(y, f)
+            y = _compose(y, f)
         if h % len(walk):
             raise InternalInconsistencyError(f"order {len(walk)} of {f} does not divide {h}")
         for i, x in enumerate(walk):
@@ -271,20 +291,20 @@ def _walks(forms: list[QuadForm], identity: QuadForm, h: int) -> _Walks:
     return table
 
 
-def _power(walks: _Walks, f: QuadForm, n: int) -> QuadForm:
+def _power(walks: _Walks, f: _Form, n: int) -> _Form:
     """f^n read from the walk table; negative n works the same way."""
     walk, i = walks[f]
     return walk[i * n % len(walk)]
 
 
-def _order(walks: _Walks, f: QuadForm) -> int:
+def _order(walks: _Walks, f: _Form) -> int:
     walk, i = walks[f]
     return len(walk) // gcd(i, len(walk))
 
 
 def _span(
-    known: dict[QuadForm, tuple[int, ...]], y: QuadForm, k: int, walks: _Walks
-) -> dict[QuadForm, tuple[int, ...]]:
+    known: dict[_Form, tuple[int, ...]], y: _Form, k: int, walks: _Walks
+) -> dict[_Form, tuple[int, ...]]:
     """Extend a dlog table by y of order k modulo its span: each a * y^j,
     j < k, gets known[a] + (j,).  The identity's entries y^j are read from
     the walk table, and every other entry costs one composition, so a span
@@ -294,14 +314,14 @@ def _span(
     layer = [(a, exps) for a, exps in known.items() if a != identity]
     for j in range(1, k):
         out[_power(walks, y, j)] = known[identity] + (j,)
-        layer = [(compose(a, y), exps) for a, exps in layer]
+        layer = [(_compose(a, y), exps) for a, exps in layer]
         out.update((a, exps + (j,)) for a, exps in layer)
     return out
 
 
 def _sylow_basis(
-    elems: list[QuadForm], q: int, identity: QuadForm, walks: _Walks
-) -> tuple[list[QuadForm], list[int]]:
+    elems: list[_Form], q: int, identity: _Form, walks: _Walks
+) -> tuple[list[_Form], list[int]]:
     """Basis of a finite abelian q-group given as a list of reduced forms.
 
     Greedy maximal-order-in-quotient with the divisibility correction; ties
@@ -309,12 +329,12 @@ def _sylow_basis(
     deterministic.  Every power and order is read from the walk table, so
     the only compositions are the corrections and the span extensions.
     """
-    known: dict[QuadForm, tuple[int, ...]] = {identity: ()}
-    basis: list[QuadForm] = []
+    known: dict[_Form, tuple[int, ...]] = {identity: ()}
+    basis: list[_Form] = []
     orders: list[int] = []
     elems_sorted = sorted(elems)
     while len(known) < len(elems):
-        best: QuadForm | None = None
+        best: _Form | None = None
         best_k = 0
         for f in elems_sorted:
             if f in known:
@@ -333,7 +353,7 @@ def _sylow_basis(
         for g, e in zip(basis, rem):
             if e % k:
                 raise InternalInconsistencyError("basis correction not divisible")
-            y = compose(y, _power(walks, g, -(e // k)))
+            y = _compose(y, _power(walks, g, -(e // k)))
         if _order(walks, y) != k:
             raise InternalInconsistencyError("corrected element has wrong order")
         known = _span(known, y, k, walks)
@@ -354,25 +374,28 @@ def class_group(d: int) -> ClassGroup:
     exactly dividing h, and ``_sylow_basis`` picks its basis greedily.  The
     dlog table starts from the identity and is extended by each generator
     in turn by ``_span``: the generator's own powers come from the walk
-    table, every other entry costs one composition.
+    table, every other entry costs one composition.  All of this runs on
+    (a, b, c) tuples; the generators and the dlog keys are QuadForms.
     """
     p = _check_disc(d)
     h_analytic = class_number_analytic(d)
-    forms = list(reduced_forms(d))
-    h = len(forms)
+    reduced = reduced_forms(d)
+    h = len(reduced)
     if h != h_analytic:
         raise InternalInconsistencyError(
             f"form count {h} != analytic class number for discriminant {d}"
         )
     if h % 2 == 0 or math.gcd(h, p) != 1:
         raise InternalInconsistencyError(f"class number {h} fails parity/coprimality for {d}")
-    identity = principal_form(d)
     if h == 1:
-        return ClassGroup(d, 1, (), (), {identity: ()})
+        return ClassGroup(d, 1, (), (), {principal_form(d): ()})
 
     # invariant factors, assembled one prime at a time
+    by_key = {(f.a, f.b, f.c): f for f in reduced}
+    forms = list(by_key)
+    identity = (1, 1, (1 - d) // 4)
     walks = _walks(forms, identity, h)
-    per_prime: list[tuple[list[QuadForm], list[int]]] = []
+    per_prime: list[tuple[list[_Form], list[int]]] = []
     for q, e in factorize(h).items():
         sylow = [f for f in forms if q**e % _order(walks, f) == 0]
         if len(sylow) != q ** e:
@@ -382,14 +405,14 @@ def class_group(d: int) -> ClassGroup:
         per_prime.append(([f for _, f in ranked], [o for o, _ in ranked]))
 
     rank = max(len(b) for b, _ in per_prime)
-    gens_desc: list[QuadForm] = []
+    gens_desc: list[_Form] = []
     invs_desc: list[int] = []
     for i in range(rank):
         g = identity
         dord = 1
         for basis, basis_orders in per_prime:
             if i < len(basis):
-                g = compose(g, basis[i])
+                g = _compose(g, basis[i])
                 dord *= basis_orders[i]
         gens_desc.append(g)
         invs_desc.append(dord)
@@ -400,12 +423,18 @@ def class_group(d: int) -> ClassGroup:
         if big % small:
             raise InternalInconsistencyError(f"invariant factors {structure} not a chain")
 
-    dlog: dict[QuadForm, tuple[int, ...]] = {identity: ()}
+    dlog: dict[_Form, tuple[int, ...]] = {identity: ()}
     for g, di in zip(generators, structure):
         dlog = _span(dlog, g, di, walks)
-    if len(dlog) != h or set(dlog) != set(forms):
+    if len(dlog) != h or dlog.keys() != by_key.keys():
         raise InternalInconsistencyError(f"dlog table does not enumerate the group for {d}")
-    return ClassGroup(d, h, structure, generators, dlog)
+    return ClassGroup(
+        d,
+        h,
+        structure,
+        tuple(by_key[g] for g in generators),
+        {by_key[f]: exps for f, exps in dlog.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +572,8 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     Each a_n is kept as a sparse histogram {exponent: ideal count} over the
     ideals of norm n, the local histogram times that of a_(n / l^e), so it
     costs about (ideals of norm n) operations; the raw vector of a_n is
-    that histogram, made into one cyclotomic vector at the end.
+    that histogram, made into one cyclotomic vector at the end.  l is read
+    from a least-prime-factor table of 0..bound, built once per call.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -551,9 +581,19 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     if char.structure != grp.structure:
         raise ValueError("character does not belong to this class group")
     m = char.order
+    # sieve from the largest divisor down, so the least one, a prime, is
+    # written last; primes keep themselves
+    lpf = list(range(bound + 1))
+    for q in range(isqrt(bound), 1, -1):
+        lpf[q * q :: q] = [q] * ((bound - q * q) // q + 1)
     hists: list[dict[int, int]] = [{}, {0: 1}]
     for n in range(2, bound + 1):
-        ell, e = next(iter(factorize(n).items()))
+        ell = lpf[n]
+        rest = n // ell
+        e = 1
+        while rest % ell == 0:
+            rest //= ell
+            e += 1
         kind, dl = _splitting_dlog(d, ell)
         local: dict[int, int] = {}
         if kind == "inert":
@@ -570,7 +610,7 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
                     local[t] = local.get(t, 0) + 1
         hist: dict[int, int] = {}
         for a, x in local.items():
-            for b, y in hists[n // ell**e].items():
+            for b, y in hists[rest].items():
                 t = (a + b) % m
                 hist[t] = hist.get(t, 0) + x * y
         hists.append(hist)

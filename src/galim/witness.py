@@ -18,7 +18,6 @@ the output is byte-identical for every job count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, log
 
@@ -224,6 +223,9 @@ def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
             if bounds[i] <= bounds[i + 1] - 1
         ]
         workers = min(len(spans), os.cpu_count() or 1)
+        # imported here so that serial runs never load the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_chunk, [kind] * len(spans), *zip(*spans)))
 

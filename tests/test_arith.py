@@ -187,6 +187,32 @@ class TestFactorization:
             arith.factorize(n)
         assert calls == []
 
+    def test_no_primality_test_below_2_32(self, monkeypatch):
+        # a cofactor left by trial division below 2^32 is 1 or prime, so it
+        # is recorded without Miller-Rabin; only larger ones are tested
+        calls = []
+        mr = arith.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return mr(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        rng = random.Random(23)
+        sample = list(range(1, 3000)) + [rng.randrange(1, 1 << 32) for _ in range(300)]
+        sample += [4294967291, (1 << 32) - 1, 65521**2, 65521 * 65519]
+        for n in sample:
+            fac = arith.factorize(n)
+            assert math.prod(q**e for q, e in fac.items()) == n
+            assert list(fac) == sorted(fac)
+            assert all(mr(q) for q in fac), n
+        # every trial prime divides in turn, and the cofactor 65537 is left
+        assert arith.factorize(65521 * 65537) == {65521: 1, 65537: 1}
+        assert calls == []
+        assert arith.factorize(65537 * 65539) == {65537: 1, 65539: 1}
+        assert arith.factorize(65537**2) == {65537: 2}
+        assert calls
+
     def test_divisors(self):
         for n in (1, 12, 28, 97, 360, 1024):
             want = [d for d in range(1, n + 1) if n % d == 0]

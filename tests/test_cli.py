@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import galim
 from galim import cli
@@ -203,6 +205,57 @@ class TestJsonRoundTrip:
         assert rc == 0, err
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
         assert json.loads(out)["command"] == command_words(argv)
+
+
+def json_oracle(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def write_json(payload) -> str:
+    out = []
+    cli._write_json(payload, "", out)
+    return "".join(out)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.sampled_from([-0.0, 1e16, 0.1, float("nan"), "\u00e9\u6f22\U0001f600", '"\\\n\t\x00\x7f'])
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """``cli._write_json`` against ``json.dumps(..., sort_keys=True, indent=2)``."""
+
+    @given(json_payloads)
+    @example({"": [], "b": {}, "a": [True, 1, False, 0, None, -0.0, 1e16, 0.1, float("nan")]})
+    @example([[1, 2, 3], [True, 2], [1, 2.0], {"\u00e9": ["\u00e9", "\n"]}])
+    def test_matches_json_dumps(self, payload):
+        assert write_json(payload) == json_oracle(payload)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "-p", "19319", "--coeffs", "120"],
+            ["classgroup", "-p", "19319"],
+            ["scan", "hida", "--from", "7", "--to", "1500"],
+        ]
+        + LEAF_ARGV,
+    )
+    def test_reports_match_json_dumps(self, argv, capsys):
+        args = cli._build_parser().parse_args(argv + ["--format", "json"])
+        want = json_oracle(cli.serialize(args.handler(args))) + "\n"
+        rc, out, err = invoke(argv + ["--format", "json"], capsys)
+        assert rc == 0, err
+        assert out == want
 
 
 class TestScanCli:

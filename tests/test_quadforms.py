@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -403,21 +404,22 @@ class TestClassGroup:
 
     @pytest.mark.parametrize("p", [3299, 4027, 19919])
     def test_walk_orders_are_least_exponents(self, p):
-        forms = list(qf.reduced_forms(-p))
+        # the walk table holds forms as (a, b, c) tuples
+        forms = qf.reduced_forms(-p)
         e = qf.principal_form(-p)
-        walks = qf._walks(forms, e, len(forms))
-        assert set(walks) == set(forms)
+        walks = qf._walks([astuple(f) for f in forms], astuple(e), len(forms))
+        assert set(walks) == {astuple(f) for f in forms}
         for f in forms:
             least = next(n for n in itertools.count(1) if form_pow(f, n) == e)
-            assert qf._order(walks, f) == least, f
+            assert qf._order(walks, astuple(f)) == least, f
             for n in (-least - 1, -1, 0, 1, 2, least + 1):
-                assert qf._power(walks, f, n) == form_pow(f, n), (f, n)
+                assert qf._power(walks, astuple(f), n) == astuple(form_pow(f, n)), (f, n)
 
     def test_walks_check_their_lengths(self):
         # the least form after the identity has order 9 in a group of order
         # 27: a bound of 7 stops its walk, and 9 does not divide a bound of 10
-        forms = list(qf.reduced_forms(-3299))
-        e = qf.principal_form(-3299)
+        forms = [astuple(f) for f in qf.reduced_forms(-3299)]
+        e = astuple(qf.principal_form(-3299))
         with pytest.raises(InternalInconsistencyError, match="do not return"):
             qf._walks(forms, e, 7)
         with pytest.raises(InternalInconsistencyError, match="does not divide"):
@@ -643,6 +645,40 @@ class TestTheta:
             theta = qf.theta_coefficients(d, char, 120)
             oracle = theta_oracle(d, char, 120)
             assert [v.coeffs for v in theta.coefficients] == [v.coeffs for v in oracle]
+
+    @pytest.mark.parametrize(
+        "p,index,bound",
+        [
+            (23, 1, 1),  # a_1 alone
+            (23, 2, 529),  # 23^2: the ramified prime squared
+            (31, 1, 121),  # 11^2, 11 inert
+            (47, 3, 128),  # 2^7, 2 split
+            (59, 1, 243),  # 3^5, with 2 inert
+            (3299, 5, 125),
+            (19319, 7, 169),
+            (83, 2, 127),  # a prime bound
+        ],
+    )
+    def test_least_prime_table_matches_factorize_oracle(self, p, index, bound):
+        # theta_oracle reads l and e from factorize(n) for every n
+        char = qf.characters(-p)[index]
+        theta = qf.theta_coefficients(-p, char, bound)
+        oracle = theta_oracle(-p, char, bound)
+        assert len(theta.coefficients) == bound + 1
+        assert [v.coeffs for v in theta.coefficients] == [v.coeffs for v in oracle]
+
+    def test_makes_no_factorize_call(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factorize(n)
+
+        qf.class_group(-19319)  # class_group factors h; warm it first
+        monkeypatch.setattr(qf, "factorize", counting)
+        for char in qf.characters(-19319)[:3]:
+            qf.theta_coefficients(-19319, char, 300)
+        assert calls == []
 
     def test_character_group_mismatch_rejected(self):
         # structure (5,) of disc -47 cannot act on the (3,) group of -23

@@ -1,8 +1,11 @@
 """Witness constructions per prime and the multi-process range scans."""
 
+import concurrent.futures
 import functools
 import math
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -208,8 +211,15 @@ class TestScan:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(witness, "ProcessPoolExecutor", SerialPool)
+        # scan imports the pool from concurrent.futures only when jobs > 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(witness.os, "cpu_count", lambda: cpus)
         base = witness.scan("eta", 7, 4000)
         assert witness.scan("eta", 7, 4000, jobs=100_000) == base
         assert seen == [workers]
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        code = "import sys, galim.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
