@@ -1,13 +1,15 @@
 """Classification of matrix-generated subgroups of PGL2 over small fields.
 
 A subgroup is handed over as a list of invertible 2x2 matrices over F_q,
-q = p or p^2 with p an odd prime.  ``group_order`` computes the order of
-the projective image by Schreier-Sims on the q+1 points of P^1(F_q), and
-``closure`` lists its elements (scalar-normalized matrices, first nonzero
-entry 1) for groups of at most MAX_CLOSURE_ORDER elements.  ``classify``
-takes the order from ``group_order``, lists the elements only for the small
-groups whose normalizer search or order statistics read them, and walks a
-decision cascade:
+q = p or p^2 with p an odd prime.  Schreier-Sims on the q+1 points of
+P^1(F_q) builds one transversal per base point; the base's pointwise
+stabilizer is trivial, so the order (``group_order``) is the product of the
+transversal lengths, and every element is exactly one product of one
+transversal element per level.  ``closure`` lists those products
+(scalar-normalized matrices, first nonzero entry 1) for groups of at most
+MAX_CLOSURE_ORDER elements.  ``classify`` builds the transversals once,
+lists the elements only for the small groups whose normalizer search or
+order statistics read them, and walks a decision cascade:
 
   1. a common rational fixed line          -> reducible (Borel)
   2. a preserved unordered pair of lines   -> Cartan / Cartan-normalizer,
@@ -32,9 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
-import numpy as np
-
-from .arith import InternalInconsistencyError, is_prime, kronecker
+from .arith import InternalInconsistencyError, is_prime, kronecker, sqrt_mod
 from .kernels import closure_codes
 
 # closure() lists every element, so it refuses larger groups
@@ -49,7 +49,7 @@ class GFq:
     code order doubles as the deterministic tie-break everywhere.
     """
 
-    __slots__ = ("p", "r", "q", "nonresidue", "_inv_table", "_sqrt_table", "_ext_nr")
+    __slots__ = ("p", "r", "q", "nonresidue", "_sqrt_table", "_ext_nr")
 
     def __init__(self, p: int, r: int = 1) -> None:
         if p == 2 or not is_prime(p):
@@ -66,7 +66,6 @@ class GFq:
             self.nonresidue = n
         else:
             self.nonresidue = None
-        self._inv_table: np.ndarray | None = None
         self._sqrt_table: dict[int, int] | None = None
         self._ext_nr: int | None = None
 
@@ -117,7 +116,13 @@ class GFq:
         return a0 * ninv % p + p * (-a1 * ninv % p)
 
     def sqrt(self, a: int) -> int | None:
-        """Least-code square root in F_q, or None for a nonsquare."""
+        """Least-code square root in F_q, or None for a nonsquare.
+
+        Prime fields use Tonelli-Shanks; F_{p^2} reads a table of all q
+        squares, built on first use.
+        """
+        if self.r == 1:
+            return sqrt_mod(a, self.p)
         if self._sqrt_table is None:
             table: dict[int, int] = {}
             for x in range(self.q):
@@ -133,14 +138,6 @@ class GFq:
                 a += 1
             self._ext_nr = a
         return self._ext_nr
-
-    def inv_table(self) -> np.ndarray:
-        if self._inv_table is None:
-            t = np.zeros(self.q, dtype=np.int64)
-            for a in range(1, self.q):
-                t[a] = self.inv(a)
-            self._inv_table = t
-        return self._inv_table
 
 
 @dataclass(frozen=True)
@@ -210,19 +207,6 @@ def projective_order(m: Mat2) -> int:
     return t
 
 
-def _pack(m: Mat2) -> int:
-    q = m.field.q
-    return ((m.a * q + m.b) * q + m.c) * q + m.d
-
-
-def _unpack(code: int, field: GFq) -> Mat2:
-    q = field.q
-    code, d = divmod(code, q)
-    code, c = divmod(code, q)
-    a, b = divmod(code, q)
-    return Mat2(field, a, b, c, d)
-
-
 def _common_field(generators: list[Mat2]) -> GFq:
     if not generators:
         raise ValueError("need at least one generator")
@@ -239,19 +223,26 @@ def closure(generators: list[Mat2]) -> frozenset[Mat2]:
     """Projective closure as scalar-normalized matrices.
 
     Raises ValueError, before listing anything, when the group has more than
-    MAX_CLOSURE_ORDER elements.
+    MAX_CLOSURE_ORDER elements or p^2 >= 2^63 (the listing's int64 limit).
     """
     field = _common_field(generators)
-    n = group_order(generators)
+    return _elements(field, _transversals(field, generators))
+
+
+def _elements(field: GFq, transversals: list[dict[int, Mat2]]) -> frozenset[Mat2]:
+    """Every product u_0 u_1 u_2 of the transversals, scalar-normalized."""
+    n = prod(len(t) for t in transversals)
     if n > MAX_CLOSURE_ORDER:
         raise ValueError(
             f"projective closure has {n} elements, above the listing limit {MAX_CLOSURE_ORDER}"
         )
-    gens = np.array(
-        sorted({_pack(g.scalar_normalized()) for g in generators}), dtype=np.int64
-    )
-    codes = closure_codes(gens, field.p, field.r, field.nonresidue or 0, field.inv_table())
-    return frozenset(_unpack(int(c), field) for c in codes)
+    levels = [[(u.a, u.b, u.c, u.d) for u in t.values()] for t in transversals]
+    rows = closure_codes(levels, field.p, field.r, field.nonresidue or 0, field.inv)
+    if len(rows) != n:
+        raise InternalInconsistencyError(
+            f"transversal products give {len(rows)} distinct elements, not the order {n}"
+        )
+    return frozenset(Mat2(field, *row) for row in rows.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +333,24 @@ def _moebius_ext(m: Mat2, z: tuple[int, int]) -> tuple[int, int]:
 
 
 def group_order(generators: list[Mat2]) -> int:
-    """Order of the projective image of the generators in PGL2(F_q).
+    """Order of the projective image of the generators in PGL2(F_q): the
+    product of the basic orbit lengths of ``_transversals``."""
+    field = _common_field(generators)
+    return prod(len(t) for t in _transversals(field, generators))
 
-    Deterministic Schreier-Sims (Sims 1970; Seress 2003) for the
-    action of ``_moebius`` on the q+1 slope codes of P^1(F_q), with base
-    (infinity, 0, 1).  PGL2(F_q) acts sharply 3-transitively, so the
-    pointwise stabilizer of the base is trivial and the order is the product
-    of the three basic orbit lengths.  Group elements stay 2x2 matrices, with
+
+def _transversals(field: GFq, generators: list[Mat2]) -> list[dict[int, Mat2]]:
+    """Basic transversals of the projective image for the base (infinity, 0, 1).
+
+    Deterministic Schreier-Sims (Sims 1970; Seress 2003) for the action of
+    ``_moebius`` on the q+1 slope codes of P^1(F_q).  Level i maps each
+    point y of the i-th basic orbit to a u in the pointwise stabilizer of
+    the earlier base points with u . base[i] = y.  PGL2(F_q) acts sharply
+    3-transitively, so the pointwise stabilizer of the base is trivial: the
+    order is the product of the three orbit lengths, and every element is
+    exactly one product u_0 u_1 u_2.  Group elements stay 2x2 matrices, with
     the adjugate as projective inverse, so memory grows like q, not q^2.
     """
-    field = _common_field(generators)
     one = identity_mat(field)
     base = (field.q, 0, 1)
     depth = len(base)
@@ -396,7 +395,7 @@ def group_order(generators: list[Mat2]) -> int:
         for level in range(i + 1, j + 1):
             strong[level].append(h)
         i = j
-    return prod(len(t) for t in transversals)
+    return transversals
 
 
 def _orbit_transversal(point: int, gens: list[Mat2], one: Mat2) -> dict[int, Mat2]:
@@ -467,13 +466,14 @@ def classify(generators: list[Mat2]) -> DicksonReport:
     p, r, q = field.p, field.r, field.q
     if p < 7:
         raise ValueError(f"classification needs p >= 7, got {p}")
-    n = group_order(generators)
+    transversals = _transversals(field, generators)
+    n = prod(len(t) for t in transversals)
     # only the normalizer search and the order statistics read the elements
-    elements = closure(generators) if n <= max(60, 2 * (q + 1)) else None
+    elements = _elements(field, transversals) if n <= max(60, 2 * (q + 1)) else None
 
     nonscalar_gens = [g.scalar_normalized() for g in generators if not g.is_scalar()]
     # dedupe while preserving determinism
-    nonscalar_gens = sorted(set(nonscalar_gens), key=_pack)
+    nonscalar_gens = sorted(set(nonscalar_gens), key=lambda m: (m.a, m.b, m.c, m.d))
 
     if n <= 2:
         return _tiny_group_report(field, n, nonscalar_gens)

@@ -1,13 +1,16 @@
 """Hot numeric loops, one numpy implementation each.
 
-Three loops dominate the toolkit's runtime: the mod-p Bernoulli table, the
-breadth-first projective closure over PGL2(Fq), and the tame-order gcd check
+Three loops carry the toolkit's array work: the mod-p Bernoulli table, the
+listing of a projective group over PGL2(Fq), and the tame-order gcd check
 across a prime range.  The Bernoulli table comes from Newton inversion of a
 power series with Kronecker-substitution products; the O(p^2) convolution it
-replaces is kept in the tests as its oracle.  The closure lists only groups
-whose order Schreier-Sims (``dickson.group_order``) has already shown to be
-small.  The gcd check tests only the O(1) closed-form exponents per prime;
-the full j-scan it replaces is kept in the tests as its oracle.
+replaces is kept in the tests as its oracle.  The listing multiplies out the
+Schreier-Sims transversals of ``dickson`` (every element is exactly one
+product of one transversal element per level), and lists only groups whose
+order those transversals have already shown to be small; a breadth-first
+closure stays in the tests as its oracle.  The gcd check tests only the O(1)
+closed-form exponents per prime; the full j-scan it replaces is kept in the
+tests as its oracle.
 """
 
 from __future__ import annotations
@@ -148,70 +151,53 @@ def eta_scan(primes) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Projective closure BFS over PGL2(Fq)
+# Products of Schreier-Sims transversals over PGL2(Fq)
 # ---------------------------------------------------------------------------
 #
 # Field elements are integer codes in [0, q).  For r = 2 the code of
-# a0 + a1*x (x^2 = nr) is a0 + p*a1.  A scalar-normalized matrix
-# (m0, m1, m2, m3) packs into ((m0*q + m1)*q + m2)*q + m3 < q^4 <= 2^63.
+# a0 + a1*x (x^2 = nr) is a0 + p*a1.  Every product below is of two
+# residues mod p, or of nr < p and a residue, so p^2 < 2^63 keeps it in int64.
 
 
-def closure_codes(gens, p: int, r: int, nr: int, inv_table) -> np.ndarray:
-    """BFS closure of scalar-normalized packed generator codes under right
-    multiplication, starting at the identity; returns the sorted codes.
+def closure_codes(levels, p: int, r: int, nr: int, inv) -> np.ndarray:
+    """Distinct scalar-normalized products u_0 u_1 ... u_k, one factor from
+    each level, as sorted rows (a, b, c, d) of field codes.
 
-    The BFS holds every element, so callers bound the group order first
-    (``dickson.closure`` computes it by Schreier-Sims).
+    Each level is a sequence of matrix rows (a, b, c, d); ``inv`` inverts a
+    nonzero field code and is called once per distinct lead entry.  The
+    result holds every product, so callers bound its size first
+    (``dickson.closure`` reads it from the Schreier-Sims transversals).
     """
-    gens = np.asarray(gens, dtype=np.int64)
-    inv_table = np.asarray(inv_table, dtype=np.int64)
-    q = p * p if r == 2 else p
+    if p * p >= 1 << 63:
+        raise ValueError(f"listing group elements needs p^2 < 2^63 for int64 products, got p = {p}")
 
     def gmul(a, b):
         if r == 1:
             return a * b % p
-        a0 = a % p
-        a1 = a // p
-        b0 = b % p
-        b1 = b // p
-        return (a0 * b0 + nr * (a1 * b1)) % p + p * ((a0 * b1 + a1 * b0) % p)
+        a0, a1 = a % p, a // p
+        b0, b1 = b % p, b // p
+        return (a0 * b0 % p + nr * (a1 * b1 % p)) % p + p * ((a0 * b1 % p + a1 * b0 % p) % p)
 
     def gadd(a, b):
         if r == 1:
             return (a + b) % p
         return (a % p + b % p) % p + p * ((a // p + b // p) % p)
 
-    id_code = q * q * q + 1
-    visited = np.array([id_code], dtype=np.int64)
-    frontier = visited
-    decoded_gens = []
-    for gc in gens.tolist():
-        g3 = gc % q
-        t = gc // q
-        decoded_gens.append((t // q // q, t // q % q, t % q, g3))
-    while frontier.size and decoded_gens:
-        m3 = frontier % q
-        t = frontier // q
-        m2 = t % q
-        t = t // q
-        m1 = t % q
-        m0 = t // q
-        prods = []
-        for g0, g1, g2, g3 in decoded_gens:
-            c0 = gadd(gmul(m0, g0), gmul(m1, g2))
-            c1 = gadd(gmul(m0, g1), gmul(m1, g3))
-            c2 = gadd(gmul(m2, g0), gmul(m3, g2))
-            c3 = gadd(gmul(m2, g1), gmul(m3, g3))
-            lead = np.where(c0 != 0, c0, np.where(c1 != 0, c1, np.where(c2 != 0, c2, c3)))
-            il = inv_table[lead]
-            c0 = gmul(c0, il)
-            c1 = gmul(c1, il)
-            c2 = gmul(c2, il)
-            c3 = gmul(c3, il)
-            prods.append(((c0 * q + c1) * q + c2) * q + c3)
-        new = np.setdiff1d(np.unique(np.concatenate(prods)), visited, assume_unique=True)
-        if new.size == 0:
-            break
-        visited = np.union1d(visited, new)
-        frontier = new
-    return visited
+    acc = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    for level in levels:
+        x = acc[:, None, :]
+        y = np.asarray(level, dtype=np.int64).reshape(1, -1, 4)
+        acc = np.stack(
+            [
+                gadd(gmul(x[..., 0], y[..., 0]), gmul(x[..., 1], y[..., 2])),
+                gadd(gmul(x[..., 0], y[..., 1]), gmul(x[..., 1], y[..., 3])),
+                gadd(gmul(x[..., 2], y[..., 0]), gmul(x[..., 3], y[..., 2])),
+                gadd(gmul(x[..., 2], y[..., 1]), gmul(x[..., 3], y[..., 3])),
+            ],
+            axis=-1,
+        ).reshape(-1, 4)
+    # the lead entry is the first nonzero one of each row
+    lead = acc[np.arange(len(acc)), (acc != 0).argmax(axis=1)]
+    values, where = np.unique(lead, return_inverse=True)
+    inverses = np.array([inv(v) for v in values.tolist()], dtype=np.int64)
+    return np.unique(gmul(acc, inverses[where][:, None]), axis=0)

@@ -511,16 +511,22 @@ def prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
     For split ell the first form uses b = the odd lift of the least square
     root of d mod ell into (0, 2*ell); the second is its inverse class.
     """
-    p = _check_disc(d)
+    _check_disc(d)
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
+    return _prime_ideal_class(d, ell)
+
+
+def _prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
+    """``prime_ideal_class`` for a d and a prime ell already validated."""
+    p = -d
     sym = kronecker(d, ell)
     if sym == -1:
         return PrimeSplitting(ell, "inert", ())
     if sym == 0:
         # only ell = p ramifies, and the prime above it is (p, (p + sqrt(d))/2)
         f = reduce_form(QuadForm(p, p, (p + 1) // 4))
-        return PrimeSplitting(ell, "ramified", (f,), f == principal_form(d))
+        return PrimeSplitting(ell, "ramified", (f,), f == QuadForm(1, 1, (1 - d) // 4))
     if ell == 2:
         # d odd here; 2 splits exactly when d = 1 mod 8, with b = 1
         b = 1
@@ -537,8 +543,10 @@ def prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _splitting_dlog(d: int, ell: int) -> tuple[str, tuple[int, ...] | None]:
+    # class_group has validated d, and theta_coefficients reads ell from a
+    # least-prime-factor table, so neither is proven prime again
     grp = class_group(d)
-    sp = prime_ideal_class(d, ell)
+    sp = _prime_ideal_class(d, ell)
     if sp.kind == "inert":
         return "inert", None
     return sp.kind, grp.dlog[sp.forms[0]]

@@ -339,6 +339,23 @@ class TestDicksonCli:
         assert payload["items"][0]["group_order"] == 58800
         assert payload["items"][0]["canonical_label"] == "large-PSL(49)"
 
+    def test_klein_four_over_a_large_prime_field(self, capsys):
+        # 3000017^4 overflows int64, so packed element codes could not list
+        # this group; its four elements are products of the transversals
+        argv = ["dickson", "classify", "--field", "3000017", "--gen", "1,0,0,-1", "--gen", "0,1,1,0"]
+        rc, out, err = invoke(argv, capsys)
+        assert rc == 0, err
+        report = json.loads(out.splitlines()[2])
+        assert report["group_order"] == 4
+        assert report["canonical_label"] == "dihedral-ambiguous"
+
+    def test_listing_above_the_int64_limit_is_a_usage_error(self, capsys):
+        # 3037000507 is the least prime with p^2 >= 2^63
+        argv = ["dickson", "classify", "--field", "3037000507", "--gen", "1,0,0,-1", "--gen", "0,1,1,0"]
+        rc, out, err = invoke(argv, capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("usage error:") and "p^2 < 2^63" in err
+
 
 class TestOutputFile:
     def test_out_writes_file_and_silences_stdout(self, tmp_path, capsys):

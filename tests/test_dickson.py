@@ -1,16 +1,18 @@
 """Classification of projective matrix groups over small fields: field and
-matrix arithmetic, Schreier-Sims group orders against closure enumeration,
-and the full decision cascade."""
+matrix arithmetic, Schreier-Sims group orders and transversal-product
+listings against a breadth-first closure oracle, and the full decision
+cascade."""
 
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galim import dickson
-from galim.arith import multiplicative_order
+from galim.arith import InternalInconsistencyError, multiplicative_order
 from galim.dickson import GFq, Mat2, identity_mat
 
 
@@ -22,6 +24,60 @@ F49 = GFq(7, 2)
 
 def mats(field, *rows):
     return [Mat2(field, *r) for r in rows]
+
+
+def closure_oracle(generators):
+    """Projective closure by breadth-first search from the identity under
+    right multiplication, independent of Schreier-Sims.
+
+    A scalar-normalized matrix (m0, m1, m2, m3) is the packed code
+    ((m0*q + m1)*q + m2)*q + m3, so q^4 must stay below 2^63; lead entries
+    are inverted through a table of all q field elements.
+    """
+    field = generators[0].field
+    p, r, q, nr = field.p, field.r, field.q, field.nonresidue or 0
+    inv_table = np.array([0] + [field.inv(a) for a in range(1, q)], dtype=np.int64)
+
+    def gmul(a, b):
+        if r == 1:
+            return a * b % p
+        a0, a1, b0, b1 = a % p, a // p, b % p, b // p
+        return (a0 * b0 + nr * (a1 * b1)) % p + p * ((a0 * b1 + a1 * b0) % p)
+
+    def gadd(a, b):
+        if r == 1:
+            return (a + b) % p
+        return (a % p + b % p) % p + p * ((a // p + b // p) % p)
+
+    gens = sorted({g.scalar_normalized() for g in generators}, key=lambda m: (m.a, m.b, m.c, m.d))
+    visited = np.array([q * q * q + 1], dtype=np.int64)
+    frontier = visited
+    while frontier.size:
+        m3 = frontier % q
+        t = frontier // q
+        m2 = t % q
+        t = t // q
+        m1 = t % q
+        m0 = t // q
+        prods = []
+        for g in gens:
+            c0 = gadd(gmul(m0, g.a), gmul(m1, g.c))
+            c1 = gadd(gmul(m0, g.b), gmul(m1, g.d))
+            c2 = gadd(gmul(m2, g.a), gmul(m3, g.c))
+            c3 = gadd(gmul(m2, g.b), gmul(m3, g.d))
+            lead = np.where(c0 != 0, c0, np.where(c1 != 0, c1, np.where(c2 != 0, c2, c3)))
+            il = inv_table[lead]
+            prods.append(((gmul(c0, il) * q + gmul(c1, il)) * q + gmul(c2, il)) * q + gmul(c3, il))
+        new = np.setdiff1d(np.unique(np.concatenate(prods)), visited, assume_unique=True)
+        visited = np.union1d(visited, new)
+        frontier = new
+    out = set()
+    for code in visited.tolist():
+        code, d = divmod(code, q)
+        code, c = divmod(code, q)
+        a, b = divmod(code, q)
+        out.add(Mat2(field, a, b, c, d))
+    return frozenset(out)
 
 
 class TestGFq:
@@ -69,11 +125,21 @@ class TestGFq:
             n = f.ext_nonresidue()
             assert f.sqrt(n) is None
 
-    def test_inv_table(self):
-        f = GFq(13)
-        t = f.inv_table()
-        assert t[0] == 0
-        assert all(f.mul(a, int(t[a])) == 1 for a in range(1, 13))
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_prime_field_sqrt_builds_no_table(self, p):
+        # the least root of each square, as the table of all q squares gives it
+        least = {}
+        for x in range(p):
+            least.setdefault(x * x % p, x)
+        f = GFq(p)
+        assert [f.sqrt(a) for a in range(p)] == [least.get(a) for a in range(p)]
+        assert f.ext_nonresidue() == min(a for a in range(1, p) if a not in least)
+        assert f._sqrt_table is None
+
+    def test_extension_field_sqrt_keeps_its_table(self):
+        f = GFq(7, 2)
+        assert f.sqrt(3) is not None  # every F_7 element is a square in F_49
+        assert f._sqrt_table is not None and len(f._sqrt_table) == 25
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -290,19 +356,28 @@ def invertible_generators(field, max_count=3):
     return st.lists(mat, min_size=1, max_size=max_count)
 
 
+def assert_matches_oracle(gens, order=None):
+    want = closure_oracle(gens)
+    assert dickson.group_order(gens) == len(want)
+    assert dickson.closure(gens) == want
+    if order is not None:
+        assert len(want) == order
+
+
 class TestGroupOrder:
-    """Schreier-Sims orders against the breadth-first closure."""
+    """Schreier-Sims orders and transversal-product listings against the
+    breadth-first closure oracle."""
 
     @settings(max_examples=60)
     @given(st.sampled_from([F7, F11, F13]).flatmap(invertible_generators))
     def test_matches_enumeration(self, gens):
-        assert dickson.group_order(gens) == len(dickson.closure(gens))
+        assert_matches_oracle(gens)
 
-    # each PGL2(F49)-sized closure takes about half a second
+    # each PGL2(F49)-sized oracle closure takes about half a second
     @settings(max_examples=4)
     @given(invertible_generators(F49, max_count=2))
     def test_matches_enumeration_f49(self, gens):
-        assert dickson.group_order(gens) == len(dickson.closure(gens))
+        assert_matches_oracle(gens)
 
     # every group of the acceptance gate's criterion-7 corpus, plus the
     # trivial and cyclic F7 cascade cases
@@ -318,8 +393,7 @@ class TestGroupOrder:
         ],
     )
     def test_corpus_matches_enumeration(self, field, codes, order):
-        gens = mats(field, *codes)
-        assert dickson.group_order(gens) == len(dickson.closure(gens)) == order
+        assert_matches_oracle(mats(field, *codes), order)
 
     def test_psl2_f169_beyond_the_listing_limit(self, monkeypatch):
         # unipotents with offsets 1 and x (code 13) generate SL2(F169)
@@ -335,6 +409,44 @@ class TestGroupOrder:
         monkeypatch.setattr(dickson, "closure_codes", no_enumeration)
         with pytest.raises(ValueError, match="listing limit"):
             dickson.closure(gens)
+
+    def test_classify_builds_one_chain_and_lists_its_products(self, monkeypatch):
+        # the dihedral group of order 2(p-1) around the split torus: 2 is a
+        # primitive root mod 5003.  A breadth-first closure of it costs
+        # O(order * diameter); the listing is one product of three levels
+        chains, listings = [], []
+        transversals, closure_codes = dickson._transversals, dickson.closure_codes
+
+        def counted_transversals(*args):
+            chains.append(args)
+            return transversals(*args)
+
+        def recorded_closure_codes(levels, *args):
+            listings.append([len(level) for level in levels])
+            return closure_codes(levels, *args)
+
+        monkeypatch.setattr(dickson, "_transversals", counted_transversals)
+        monkeypatch.setattr(dickson, "closure_codes", recorded_closure_codes)
+        rep = dickson.classify(mats(GFq(5003), (2, 0, 0, 1), (0, 1, 1, 0)))
+        assert rep.group_order == 10_004
+        assert rep.canonical_label == "dihedral-split"
+        assert len(chains) == 1
+        assert len(listings) == 1 and len(listings[0]) == 3
+        assert np.prod(listings[0]) == 10_004
+
+    def test_duplicate_products_are_an_inconsistency(self, monkeypatch):
+        # a transversal with a repeated element makes the product count fall
+        # short of the order that the transversal lengths claim
+        transversals = dickson._transversals
+
+        def padded(field, gens):
+            out = transversals(field, gens)
+            out[-1][field.q + 1] = identity_mat(field)
+            return out
+
+        monkeypatch.setattr(dickson, "_transversals", padded)
+        with pytest.raises(InternalInconsistencyError, match="distinct elements"):
+            dickson.closure(mats(F7, (3, 0, 0, 1), (0, 1, 1, 0)))
 
     def test_psl2_large_prime(self):
         p = 1009

@@ -1,7 +1,9 @@
 """Kernel checks against independent routes: exact rational Bernoulli numbers
 and the O(p^2) Pascal-row convolution for the Newton-inversion table, a
 schoolbook product for its Kronecker multiply, a full j-scan oracle for the
-closed-form eta check, and known group orders for the projective closure."""
+closed-form eta check, and known group orders and Python matrix products for
+the transversal-product listing (the breadth-first closure oracle of the
+listing is in test_dickson)."""
 
 import numpy as np
 import pytest
@@ -129,31 +131,61 @@ class TestEtaKernel:
             kernels.eta_scan(np.array([5, 7], dtype=np.int64))
 
 
-def _packed(field, mats):
-    q = field.q
-    out = []
-    for m in mats:
-        mm = m.scalar_normalized()
-        out.append(((mm.a * q + mm.b) * q + mm.c) * q + mm.d)
-    return np.array(out, dtype=np.int64)
+def _levels(field, codes):
+    """The Schreier-Sims transversals of the generated group, as kernel rows."""
+    gens = [dickson.Mat2(field, *c) for c in codes]
+    return [[(u.a, u.b, u.c, u.d) for u in t.values()] for t in dickson._transversals(field, gens)]
+
+
+def _list(field, levels):
+    return kernels.closure_codes(levels, field.p, field.r, field.nonresidue or 0, field.inv)
+
+
+def _tuples(rows):
+    return [tuple(row) for row in rows.tolist()]
+
+
+def _python_products(field, levels):
+    """Every product of one row per level, scalar-normalized by Mat2."""
+    out = {dickson.identity_mat(field)}
+    for level in levels:
+        out = {x * dickson.Mat2(field, *row) for x in out for row in level}
+    return sorted((m.a, m.b, m.c, m.d) for m in {m.scalar_normalized() for m in out})
 
 
 class TestClosureKernel:
-    def _run(self, p, r, codes):
-        field = dickson.GFq(p, r)
-        mats = [dickson.Mat2(field, *c) for c in codes]
-        gens = _packed(field, mats)
-        nr = field.nonresidue if r == 2 else 0
-        return kernels.closure_codes(gens, p, r, nr, field.inv_table())
-
-    def test_overflow_flag_at_group_order(self):
-        # <(0,1,-1,0), (1,1,0,1)> generates all of PSL2(F7), order 168; the
-        # kernel returns only the sorted codes, with no overflow flag
-        codes_out = self._run(7, 1, [(0, 1, 6, 0), (1, 1, 0, 1)])
-        assert isinstance(codes_out, np.ndarray)
-        assert codes_out.shape == (168,)
-        assert np.all(np.diff(codes_out) > 0)
+    def test_lists_sorted_normalized_products(self):
+        # <(0,1,-1,0), (1,1,0,1)> generates all of PSL2(F7), order 168: the
+        # three transversal levels multiply out to 168 distinct rows
+        field = dickson.GFq(7)
+        levels = _levels(field, [(0, 1, 6, 0), (1, 1, 0, 1)])
+        assert np.prod([len(level) for level in levels]) == 168
+        rows = _list(field, levels)
+        assert rows.dtype == np.int64 and rows.shape == (168, 4)
+        # sorted and distinct, as the Python products are
+        assert _tuples(rows) == _python_products(field, levels)
 
     def test_identity_only(self):
-        got = self._run(11, 1, [(1, 0, 0, 1)])
-        assert got.shape == (1,)
+        field = dickson.GFq(11)
+        got = _list(field, [[(1, 0, 0, 1)]] * 3)
+        assert got.tolist() == [[1, 0, 0, 1]]
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_exact_at_the_largest_prime_below_the_limit(self, r):
+        # 3037000493 is the largest prime with p^2 < 2^63; entries near p
+        # make every int64 product of two residues come close to 2^63
+        p = 3037000493
+        field = dickson.GFq(p, r)
+        top = field.q - 1
+        levels = [
+            [(1, 0, 0, 1), (top, top - 1, 1, top)],
+            [(top - 2, 0, 0, 1), (0, top, 1, top - 3)],
+            [(1, 0, 0, 1), (top, 1, top - 4, 2)],
+        ]
+        assert _tuples(_list(field, levels)) == _python_products(field, levels)
+
+    def test_refuses_primes_whose_products_overflow_int64(self):
+        # 3037000507 is the least prime with p^2 >= 2^63
+        field = dickson.GFq(3037000507)
+        with pytest.raises(ValueError, match=r"p\^2 < 2\^63"):
+            _list(field, [[(1, 0, 0, 1)]])

@@ -680,6 +680,25 @@ class TestTheta:
             qf.theta_coefficients(-19319, char, 300)
         assert calls == []
 
+    def test_makes_no_primality_test(self, monkeypatch):
+        # class_group validates d and the least-prime-factor table gives
+        # primes, so with the class groups warm nothing is proven prime again;
+        # bound 100 meets the ramified primes 23 and 47 too
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        discs = (-23, -47, -19319)
+        chars = {d: qf.characters(d)[:3] for d in discs}
+        qf._splitting_dlog.cache_clear()
+        monkeypatch.setattr(qf, "is_prime", counting)
+        for d in discs:
+            for char in chars[d]:
+                qf.theta_coefficients(d, char, 100)
+        assert calls == []
+
     def test_character_group_mismatch_rejected(self):
         # structure (5,) of disc -47 cannot act on the (3,) group of -23
         char47 = qf.characters(-47)[1]
