@@ -9,8 +9,9 @@ success, 2 on domain errors (regular prime, trivial class group), 1 on usage
 errors.  ``--format`` and ``--out`` belong to the leaf command, so they go
 after its last word (``galim witness borel -p 37 --format json``); placed
 before it they are a usage error.  ``dickson classify`` takes the group order
-from Schreier-Sims and lists the elements only of small groups, so it has no
-size limit to set.
+from Schreier-Sims and lists the elements only of groups of at most 60
+elements, so it has no size limit to set; its one listing limit is p^2 < 2^63,
+and it binds only those small groups.
 """
 
 from __future__ import annotations

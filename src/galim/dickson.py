@@ -8,8 +8,9 @@ transversal lengths, and every element is exactly one product of one
 transversal element per level.  ``closure`` lists those products
 (scalar-normalized matrices, first nonzero entry 1) for groups of at most
 MAX_CLOSURE_ORDER elements.  ``classify`` builds the transversals once,
-lists the elements only for the small groups whose normalizer search or
-order statistics read them, and walks a decision cascade:
+lists the elements only of groups of at most 60 elements, for their order
+statistics, reads the Cartan-normalizer candidates from the fixed lines of
+the generators and their pairwise products, and walks a decision cascade:
 
   1. a common rational fixed line          -> reducible (Borel)
   2. a preserved unordered pair of lines   -> Cartan / Cartan-normalizer,
@@ -20,8 +21,9 @@ order statistics read them, and walks a decision cascade:
 
 The flags record every containment found, and ``canonical_label`` reports
 the first stage that fires, so a group living inside several types loses
-no information.  Klein four groups get both normalizer flags and the label
-"dihedral-ambiguous" since all of their interpretations are equally good.
+no information.  Groups of exponent 2 (an involution or a Klein four group)
+get both normalizer flags, and the label "dihedral-ambiguous" when
+irreducible, since all of their interpretations are equally good.
 
 Fields of characteristic 2 are rejected outright (the quadratic extension
 convention used here needs odd p); classify additionally refuses p in
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 
 from .arith import InternalInconsistencyError, is_prime, kronecker, sqrt_mod
@@ -46,10 +49,11 @@ class GFq:
 
     Elements are integer codes: a0 for r = 1, a0 + p*a1 for r = 2 meaning
     a0 + a1*x with x^2 = n for the least quadratic nonresidue n mod p.  The
-    code order doubles as the deterministic tie-break everywhere.
+    code order doubles as the deterministic tie-break everywhere.  No
+    operation builds a table of size q.
     """
 
-    __slots__ = ("p", "r", "q", "nonresidue", "_sqrt_table", "_ext_nr")
+    __slots__ = ("p", "r", "q", "nonresidue", "_ext_nr")
 
     def __init__(self, p: int, r: int = 1) -> None:
         if p == 2 or not is_prime(p):
@@ -66,7 +70,6 @@ class GFq:
             self.nonresidue = n
         else:
             self.nonresidue = None
-        self._sqrt_table: dict[int, int] | None = None
         self._ext_nr: int | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -118,17 +121,31 @@ class GFq:
     def sqrt(self, a: int) -> int | None:
         """Least-code square root in F_q, or None for a nonsquare.
 
-        Prime fields use Tonelli-Shanks; F_{p^2} reads a table of all q
-        squares, built on first use.
+        Prime fields use Tonelli-Shanks.  In F_{p^2}, a = a0 + a1*x is a
+        square exactly when its norm a0^2 - n*a1^2 is a square mod p, and
+        then one of (a0 +- sqrt(norm))/2 is the square of the root's
+        rational part b0, whose irrational part is a1/(2*b0).
         """
+        p = self.p
         if self.r == 1:
-            return sqrt_mod(a, self.p)
-        if self._sqrt_table is None:
-            table: dict[int, int] = {}
-            for x in range(self.q):
-                table.setdefault(self.mul(x, x), x)
-            self._sqrt_table = table
-        return self._sqrt_table.get(a)
+            return sqrt_mod(a, p)
+        n = self.nonresidue
+        a0, a1 = a % p, a // p
+        if a1 == 0:
+            b0 = sqrt_mod(a0, p)
+            if b0 is not None:
+                return b0
+            b1 = sqrt_mod(a0 * pow(n, -1, p), p)
+            return p * b1
+        t = sqrt_mod(a0 * a0 - n * a1 * a1, p)
+        if t is None:
+            return None
+        half = (p + 1) // 2
+        b0 = sqrt_mod((a0 + t) * half, p)
+        if b0 is None:
+            b0 = sqrt_mod((a0 - t) * half, p)
+        b1 = a1 * pow(2 * b0, -1, p) % p
+        return min(b0 + p * b1, -b0 % p + p * (-b1 % p))
 
     def ext_nonresidue(self) -> int:
         """Least nonzero code that is a nonsquare in F_q itself."""
@@ -468,15 +485,14 @@ def classify(generators: list[Mat2]) -> DicksonReport:
         raise ValueError(f"classification needs p >= 7, got {p}")
     transversals = _transversals(field, generators)
     n = prod(len(t) for t in transversals)
-    # only the normalizer search and the order statistics read the elements
-    elements = _elements(field, transversals) if n <= max(60, 2 * (q + 1)) else None
+    if n == 1:
+        return DicksonReport(p, r, q, 1, True, True, True, True, True, "none", "none", "borel")
+    # only the order statistics read the elements
+    stats = _order_statistics(_elements(field, transversals)) if n <= 60 else None
 
     nonscalar_gens = [g.scalar_normalized() for g in generators if not g.is_scalar()]
     # dedupe while preserving determinism
     nonscalar_gens = sorted(set(nonscalar_gens), key=lambda m: (m.a, m.b, m.c, m.d))
-
-    if n <= 2:
-        return _tiny_group_report(field, n, nonscalar_gens)
 
     fixed = [_fixed_lines(g) for g in nonscalar_gens]
 
@@ -495,34 +511,23 @@ def classify(generators: list[Mat2]) -> DicksonReport:
         kind == _NONRATIONAL for kind, _, _ in fixed
     )
 
-    in_norm_split = False
-    in_norm_nonsplit = False
-    if n <= 2 * (q + 1) and n % p:
-        split_candidates: set[frozenset[int]] = set()
-        nonsplit_candidates: set[tuple[int, int]] = set()
-        for m in elements:
-            kind, pts, pair = _fixed_lines(m)
-            if kind == _RATIONAL and len(pts) == 2:
-                split_candidates.add(pts)
-            elif kind == _NONRATIONAL:
-                nonsplit_candidates.add(pair)
-        in_norm_split = any(
-            all(_preserves_rational_pair(g, cand) for g in nonscalar_gens)
-            for cand in split_candidates
-        )
-        in_norm_nonsplit = any(
-            all(_preserves_conjugate_pair(g, cand) for g in nonscalar_gens)
-            for cand in nonsplit_candidates
-        )
-
-    stats: dict[int, int] | None = None
-    if n <= 60:
-        stats = _order_statistics(elements)
-
-    klein_four = n == 4 and stats == {1: 1, 2: 3}
-    if klein_four:
-        in_norm_split = True
-        in_norm_nonsplit = True
+    # Every element of N(C) outside the Cartan C is an involution.  So a
+    # group inside N(C) either has exponent 2 (its generators commute: an
+    # involution or a Klein four group, which lie in both normalizer types)
+    # or has a generator or pairwise product of order > 2, which lies in C
+    # and fixes C's pair of lines.
+    exponent_2 = n <= 4 and set(stats) <= {1, 2}
+    lines = fixed + [_fixed_lines(g * h) for g, h in combinations(nonscalar_gens, 2)]
+    in_norm_split = exponent_2 or any(
+        all(_preserves_rational_pair(g, pts) for g in nonscalar_gens)
+        for kind, pts, _ in lines
+        if kind == _RATIONAL and len(pts) == 2
+    )
+    in_norm_nonsplit = exponent_2 or any(
+        all(_preserves_conjugate_pair(g, pair) for g in nonscalar_gens)
+        for kind, _, pair in lines
+        if kind == _NONRATIONAL
+    )
 
     exceptional = "none"
     if not reducible and not in_norm_split and not in_norm_nonsplit and n % p:
@@ -553,8 +558,6 @@ def classify(generators: list[Mat2]) -> DicksonReport:
 
     if reducible:
         label = "borel"
-    elif klein_four:
-        label = "dihedral-ambiguous"
     elif in_norm_split and in_norm_nonsplit:
         label = "dihedral-ambiguous"
     elif in_norm_split:
@@ -577,26 +580,3 @@ def classify(generators: list[Mat2]) -> DicksonReport:
         exceptional, large, label,
     )
 
-
-def _tiny_group_report(field: GFq, n: int, nonscalar_gens: list[Mat2]) -> DicksonReport:
-    """Groups of projective order 1 or 2 sit inside everything they can.
-
-    The candidate search needs a nontrivial Cartan element in the closure,
-    which only exists for n >= 3, so these two cases are settled by hand:
-    the trivial group is in every Borel and Cartan; a single involution is
-    in a Cartan matching its fixed-line type and in both normalizer types.
-    """
-    p, r, q = field.p, field.r, field.q
-    if n == 1:
-        return DicksonReport(
-            p, r, q, 1, True, True, True, True, True, "none", "none", "borel"
-        )
-    sigma = next(g for g in nonscalar_gens if not g.is_scalar())
-    kind, _, _ = _fixed_lines(sigma)
-    if kind == _RATIONAL:
-        return DicksonReport(
-            p, r, q, 2, True, True, False, True, True, "none", "none", "borel"
-        )
-    return DicksonReport(
-        p, r, q, 2, False, False, True, True, True, "none", "none", "dihedral-ambiguous"
-    )

@@ -2,7 +2,9 @@
 
 All computations are exact: indices and cusp counts are assembled from the
 prime factorization, the genus is formed over the rationals, and a failed
-integrality check raises rather than rounding.
+integrality check raises rather than rounding.  Sums over the divisors of
+the level are multiplicative, so they are taken one prime power q^e at a
+time and no divisor is factored again.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import product
+from math import prod
 
-from .arith import CACHE_MAXSIZE, divisors, factorize, is_prime, kronecker, totient
+from .arith import CACHE_MAXSIZE, factorize, is_prime, kronecker
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,11 @@ class GenusData:
     nu3: int
     nu_inf: int
     genus: int
+
+
+def _phi(q: int, k: int) -> int:
+    """Euler's totient of the prime power q^k."""
+    return q**k - q ** (k - 1) if k else 1
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -52,7 +60,8 @@ def genus_X0(n: int) -> GenusData:
         for q in fac:
             nu3 *= 1 + kronecker(-3, q)
 
-    nu_inf = sum(totient(gcd(d, n // d)) for d in divisors(n))
+    # sum over d | N of phi(gcd(d, N/d))
+    nu_inf = prod(sum(_phi(q, min(i, e - i)) for i in range(e + 1)) for q, e in fac.items())
 
     g = 1 + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
     if g.denominator != 1 or g < 0:
@@ -70,19 +79,14 @@ def dim_S2_new_Gamma0(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
+    fac = factorize(n)
     total = 0
-    for m in divisors(n):
-        beta = 1
-        for _, e in factorize(n // m).items():
-            if e == 1:
-                beta *= -2
-            elif e == 2:
-                beta *= 1
-            else:
-                beta = 0
-                break
-        if beta:
-            total += beta * genus_X0(m).genus
+    # k runs over the exponent vectors of N/m with no exponent above 2, the
+    # only ones of nonzero weight
+    for k in product(*(range(min(e, 2) + 1) for e in fac.values())):
+        beta = prod((1, -2, 1)[i] for i in k)
+        m = n // prod(q**i for q, i in zip(fac, k))
+        total += beta * genus_X0(m).genus
     if total < 0:
         raise ValueError(f"negative new-subspace dimension {total} at level {n}")
     return total
@@ -97,7 +101,9 @@ def genus_X1(n: int) -> int:
     index2 = Fraction(n * n, 2)
     for q in fac:
         index2 *= Fraction(q * q - 1, q * q)
-    cusps2 = Fraction(sum(totient(d) * totient(n // d) for d in divisors(n)), 2)
+    # sum over d | N of phi(d) phi(N/d)
+    cusps = prod(sum(_phi(q, i) * _phi(q, e - i) for i in range(e + 1)) for q, e in fac.items())
+    cusps2 = Fraction(cusps, 2)
     g = 1 + index2 / 12 - cusps2 / 2
     if g.denominator != 1 or g < 0:
         raise ValueError(f"genus formula gave non-integral or negative value {g} at level {n}")

@@ -339,6 +339,15 @@ class TestDicksonCli:
         assert payload["items"][0]["group_order"] == 58800
         assert payload["items"][0]["canonical_label"] == "large-PSL(49)"
 
+    def test_dihedral_over_a_large_extension_field(self, capsys):
+        # 3 has order 1001 in F_2003^*; square roots in F_{2003^2} need no
+        # table of its 4,012,009 elements
+        argv = ["dickson", "classify", "--field", "2003,2", "--gen", "3,0,0,1", "--gen", "0,1,1,0"]
+        payload = invoke_json(argv, capsys)
+        (item,) = payload["items"]
+        assert (item["q"], item["group_order"]) == (2003 * 2003, 2002)
+        assert item["canonical_label"] == "dihedral-split"
+
     def test_klein_four_over_a_large_prime_field(self, capsys):
         # 3000017^4 overflows int64, so packed element codes could not list
         # this group; its four elements are products of the transversals

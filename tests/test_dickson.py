@@ -1,7 +1,8 @@
 """Classification of projective matrix groups over small fields: field and
 matrix arithmetic, Schreier-Sims group orders and transversal-product
 listings against a breadth-first closure oracle, and the full decision
-cascade."""
+cascade against an oracle that searches every listed element for Cartan
+normalizers."""
 
 import random
 from collections import Counter
@@ -24,6 +25,15 @@ F49 = GFq(7, 2)
 
 def mats(field, *rows):
     return [Mat2(field, *r) for r in rows]
+
+
+def least_root_table(field):
+    """Least-code square root of every square of the field, by squaring all
+    q codes in increasing order."""
+    least = {}
+    for x in range(field.q):
+        least.setdefault(field.mul(x, x), x)
+    return least
 
 
 def closure_oracle(generators):
@@ -127,19 +137,28 @@ class TestGFq:
 
     @pytest.mark.parametrize("p", [7, 13])
     def test_prime_field_sqrt_builds_no_table(self, p):
-        # the least root of each square, as the table of all q squares gives it
-        least = {}
-        for x in range(p):
-            least.setdefault(x * x % p, x)
         f = GFq(p)
+        least = least_root_table(f)
         assert [f.sqrt(a) for a in range(p)] == [least.get(a) for a in range(p)]
         assert f.ext_nonresidue() == min(a for a in range(1, p) if a not in least)
-        assert f._sqrt_table is None
 
-    def test_extension_field_sqrt_keeps_its_table(self):
-        f = GFq(7, 2)
-        assert f.sqrt(3) is not None  # every F_7 element is a square in F_49
-        assert f._sqrt_table is not None and len(f._sqrt_table) == 25
+    @pytest.mark.parametrize("p", [7, 11, 13, 23, 31, 47, 101])
+    def test_extension_field_sqrt_matches_least_root_table(self, p):
+        f = GFq(p, 2)
+        least = least_root_table(f)
+        assert [f.sqrt(a) for a in range(f.q)] == [least.get(a) for a in range(f.q)]
+        assert f.ext_nonresidue() == min(a for a in range(1, f.q) if a not in least)
+
+    def test_extension_field_sqrt_needs_no_table(self):
+        # a table of the 10^8 squares of F_{10007^2} would not fit here
+        p = 10007
+        f = GFq(p, 2)
+        rng = random.Random(13)
+        for _ in range(200):
+            b = rng.randrange(1, f.q)
+            root = f.sqrt(f.mul(b, b))
+            assert root == min(b, f.neg(b))
+            assert f.sqrt(f.mul(f.ext_nonresidue(), f.mul(b, b))) is None
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -410,29 +429,36 @@ class TestGroupOrder:
         with pytest.raises(ValueError, match="listing limit"):
             dickson.closure(gens)
 
-    def test_classify_builds_one_chain_and_lists_its_products(self, monkeypatch):
+    def test_classify_builds_one_chain_and_lists_nothing(self, monkeypatch):
         # the dihedral group of order 2(p-1) around the split torus: 2 is a
-        # primitive root mod 5003.  A breadth-first closure of it costs
-        # O(order * diameter); the listing is one product of three levels
-        chains, listings = [], []
-        transversals, closure_codes = dickson._transversals, dickson.closure_codes
+        # primitive root mod 5003.  Its normalizer is found from the
+        # generators, so none of its 10,004 elements is listed
+        chains = []
+        transversals = dickson._transversals
 
         def counted_transversals(*args):
             chains.append(args)
             return transversals(*args)
 
-        def recorded_closure_codes(levels, *args):
-            listings.append([len(level) for level in levels])
-            return closure_codes(levels, *args)
+        def no_listing(*args):
+            raise AssertionError("closure_codes called")
 
         monkeypatch.setattr(dickson, "_transversals", counted_transversals)
-        monkeypatch.setattr(dickson, "closure_codes", recorded_closure_codes)
+        monkeypatch.setattr(dickson, "closure_codes", no_listing)
         rep = dickson.classify(mats(GFq(5003), (2, 0, 0, 1), (0, 1, 1, 0)))
         assert rep.group_order == 10_004
         assert rep.canonical_label == "dihedral-split"
         assert len(chains) == 1
-        assert len(listings) == 1 and len(listings[0]) == 3
-        assert np.prod(listings[0]) == 10_004
+
+    def test_classify_ignores_the_listing_limit(self, monkeypatch):
+        monkeypatch.setattr(dickson, "MAX_CLOSURE_ORDER", 10_000)
+        gens = mats(GFq(5003), (2, 0, 0, 1), (0, 1, 1, 0))
+        rep = dickson.classify(gens)
+        assert rep.group_order == 10_004
+        assert rep.canonical_label == "dihedral-split"
+        assert rep.in_normalizer_split and not rep.in_normalizer_nonsplit
+        with pytest.raises(ValueError, match="listing limit 10000"):
+            dickson.closure(gens)
 
     def test_duplicate_products_are_an_inconsistency(self, monkeypatch):
         # a transversal with a repeated element makes the product count fall
@@ -502,3 +528,180 @@ class TestInvariance:
                 s = rng.randrange(1, field.q)
                 scaled.append(Mat2(field, *(field.mul(s, e) for e in (g.a, g.b, g.c, g.d))))
             assert dickson.classify(scaled) == base
+
+
+def classify_oracle(generators):
+    """The cascade with the Cartan-normalizer candidates read from every
+    element of the breadth-first closure, and groups of order 1 and 2
+    settled by hand.
+
+    Any nonscalar element with two rational fixed lines, or a conjugate
+    pair, names a candidate Cartan; a group inside N(C) of order at least 3
+    that is not a Klein four group has such an element of C, and the Klein
+    four group lies in both normalizer types.
+    """
+    field = generators[0].field
+    p, r, q = field.p, field.r, field.q
+    n = dickson.group_order(generators)
+    elements = closure_oracle(generators) if n <= max(60, 2 * (q + 1)) else None
+    gens = sorted(
+        {g.scalar_normalized() for g in generators if not g.is_scalar()},
+        key=lambda m: (m.a, m.b, m.c, m.d),
+    )
+    if n == 1:
+        return dickson.DicksonReport(
+            p, r, q, 1, True, True, True, True, True, "none", "none", "borel"
+        )
+    fixed = [dickson._fixed_lines(g) for g in gens]
+    if n == 2:
+        rational = fixed[0][0] == dickson._RATIONAL
+        return dickson.DicksonReport(
+            p, r, q, 2, rational, rational, not rational, True, True, "none", "none",
+            "borel" if rational else "dihedral-ambiguous",
+        )
+
+    common = None
+    for kind, pts, _ in fixed:
+        common = set() if kind != dickson._RATIONAL else set(pts) if common is None else common & pts
+    reducible, split_cartan = len(common) >= 1, len(common) >= 2
+    pairs = {pair for kind, _, pair in fixed if kind == dickson._NONRATIONAL}
+    nonsplit_cartan = len(pairs) == 1 and all(kind == dickson._NONRATIONAL for kind, _, _ in fixed)
+
+    in_split = in_nonsplit = False
+    if n <= 2 * (q + 1) and n % p:
+        split_candidates, nonsplit_candidates = set(), set()
+        for m in elements:
+            kind, pts, pair = dickson._fixed_lines(m)
+            if kind == dickson._RATIONAL and len(pts) == 2:
+                split_candidates.add(pts)
+            elif kind == dickson._NONRATIONAL:
+                nonsplit_candidates.add(pair)
+        in_split = any(
+            all(dickson._preserves_rational_pair(g, c) for g in gens) for c in split_candidates
+        )
+        in_nonsplit = any(
+            all(dickson._preserves_conjugate_pair(g, c) for g in gens) for c in nonsplit_candidates
+        )
+    stats = dict(Counter(dickson.projective_order(m) for m in elements)) if n <= 60 else None
+    klein_four = n == 4 and stats == {1: 1, 2: 3}
+    in_split = in_split or klein_four
+    in_nonsplit = in_nonsplit or klein_four
+
+    exceptional = "none"
+    if not (reducible or in_split or in_nonsplit or n % p == 0):
+        exceptional = {
+            (12, ((1, 1), (2, 3), (3, 8))): "A4",
+            (24, ((1, 1), (2, 9), (3, 8), (4, 6))): "S4",
+            (60, ((1, 1), (2, 15), (3, 20), (5, 24))): "A5",
+        }.get((n, tuple(sorted(stats.items())) if stats else ()), "none")
+    large = "none"
+    if n % p == 0 and not reducible:
+        for q0 in (p, p * p)[:r]:
+            if n == q0 * (q0 * q0 - 1) // 2:
+                large = f"PSL({q0})"
+                break
+            if n == q0 * (q0 * q0 - 1):
+                large = f"PGL({q0})"
+                break
+    if reducible:
+        label = "borel"
+    elif in_split and in_nonsplit:
+        label = "dihedral-ambiguous"
+    elif in_split or in_nonsplit:
+        label = "dihedral-split" if in_split else "dihedral-nonsplit"
+    else:
+        label = f"exceptional-{exceptional}" if exceptional != "none" else f"large-{large}"
+    return dickson.DicksonReport(
+        p, r, q, n, reducible, split_cartan, nonsplit_cartan, in_split, in_nonsplit,
+        exceptional, large, label,
+    )
+
+
+@st.composite
+def shaped_generators(draw):
+    """One to three generators over F_7, F_11, F_13 or F_49, each diagonal,
+    antidiagonal, in a nonsplit Cartan, upper triangular or random, all
+    conjugated by one random invertible matrix.
+
+    Each example first picks the shapes it draws from, so that dihedral
+    groups around either Cartan come up often; diagonal generators include
+    the flip diag(1, -1) of the nonsplit Cartan [[a, bN], [b, a]].
+    """
+    field = draw(st.sampled_from([F7, F11, F13, F49]))
+    unit = st.integers(1, field.q - 1)
+    entry = st.integers(0, field.q - 1)
+    nonsquare = field.ext_nonresidue()
+
+    def nonsplit(ab):
+        return (ab[0], field.mul(ab[1], nonsquare), ab[1], ab[0])
+
+    diagonal = st.one_of(
+        st.just((1, 0, 0, field.neg(1))),
+        st.tuples(unit, unit).map(lambda ad: (ad[0], 0, 0, ad[1])),
+    )
+    antidiagonal = st.tuples(unit, unit).map(lambda bc: (0, bc[0], bc[1], 0))
+    cartan = st.tuples(entry, entry).filter(any).map(nonsplit)
+    upper = st.tuples(unit, entry, unit).map(lambda abd: (abd[0], abd[1], 0, abd[2]))
+    anything = st.tuples(entry, entry, entry, entry)
+    shapes = draw(st.sampled_from([
+        (diagonal, antidiagonal),
+        (cartan, diagonal),
+        (cartan, diagonal, antidiagonal),
+        (diagonal, upper),
+        (diagonal, antidiagonal, cartan, upper, anything),
+    ]))
+    mat = st.one_of(*shapes).map(lambda e: Mat2(field, *e)).filter(lambda m: m.det() != 0)
+    gens = draw(st.lists(mat, min_size=1, max_size=3))
+    h = draw(anything.map(lambda e: Mat2(field, *e)).filter(lambda m: m.det() != 0))
+    return [h * g * h.adjugate() for g in gens]
+
+
+class TestClassifyOracle:
+    """The generator-pair normalizer search against the element-listing one."""
+
+    @settings(max_examples=200)
+    @given(shaped_generators())
+    def test_matches_listing_oracle(self, gens):
+        assert dickson.classify(gens) == classify_oracle(gens)
+
+    @pytest.mark.parametrize(
+        "field,codes",
+        [(F7, c) for c, _, _ in CASCADE_CASES] + [
+            (F11, [(0, 1, 2, 1), (0, 1, 6, 0)]),
+            (F13, [(2, 0, 0, 1), (0, 1, 1, 0)]),
+            (F7, [(1, 3, 1, 1)]),
+            (F7, [(1, 3, 1, 1), (1, 0, 0, 6)]),
+            (F7, [(0, 1, 1, 0)]),
+            (F7, [(0, 1, 3, 0)]),
+            (F49, [(1, 0, 0, 48), (0, 1, 1, 0)]),
+        ],
+    )
+    def test_corpus_matches_listing_oracle(self, field, codes):
+        rng = random.Random(f"{field}:{codes}")
+        gens = mats(field, *codes)
+        for _ in range(3):
+            assert dickson.classify(gens) == classify_oracle(gens)
+            h = random_invertible(rng, field)
+            gens = [h * g * h.adjugate() for g in gens]
+
+    @pytest.mark.parametrize(
+        "field,codes,order",
+        [(F7, c, n) for c, n, _ in CASCADE_CASES] + [
+            (F11, [(0, 1, 2, 1), (0, 1, 6, 0)], 60),
+            (F13, [(0, 1, 12, 0), (1, 1, 0, 1)], 1092),
+            (F49, [(1, 1, 0, 1), (1, 0, 7, 1)], 58800),
+            (GFq(5003), [(2, 0, 0, 1), (0, 1, 1, 0)], 10_004),
+        ],
+    )
+    def test_lists_only_groups_of_at_most_60_elements(self, monkeypatch, field, codes, order):
+        listed = []
+        elements = dickson._elements
+
+        def recorded(field, transversals):
+            out = elements(field, transversals)
+            listed.append(len(out))
+            return out
+
+        monkeypatch.setattr(dickson, "_elements", recorded)
+        assert dickson.classify(mats(field, *codes)).group_order == order
+        assert listed == ([order] if 1 < order <= 60 else [])

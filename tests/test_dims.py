@@ -1,10 +1,12 @@
 """Modular curve genus formulas and cusp-form dimension bookkeeping,
 pinned against published genus tables."""
 
+from math import gcd
+
 import pytest
 
-from galim import dims
-from galim.arith import primes_in_range
+from galim import arith, dims
+from galim.arith import divisors, factorize, primes_in_range, totient
 
 # g(X0(N)) for N = 1..50, standard tables
 GENUS_X0 = [
@@ -18,6 +20,73 @@ GENUS_X0 = [
 # g(X1(N)) for the primes where the quarter-integer formula applies
 GENUS_X1_PRIME = {5: 0, 7: 0, 11: 1, 13: 2, 17: 5, 19: 7, 23: 12,
                   29: 22, 31: 26, 37: 40, 41: 51, 43: 57, 47: 70}
+
+
+def nu_inf_oracle(n):
+    """Cusps of X_0(N): phi(gcd(d, N/d)) summed over every divisor d."""
+    return sum(totient(gcd(d, n // d)) for d in divisors(n))
+
+
+def cusps_x1_oracle(n):
+    """Twice the cusp count of X_1(N): phi(d) phi(N/d) summed over every divisor d."""
+    return sum(totient(d) * totient(n // d) for d in divisors(n))
+
+
+def dim_new_oracle(n):
+    """Newform dimension by inverting over every divisor m, with the weight
+    of N/m read from its own factorization."""
+    total = 0
+    for m in divisors(n):
+        beta = 1
+        for _, e in factorize(n // m).items():
+            beta *= (1, -2, 1, 0)[min(e, 3)]
+        total += beta * dims.genus_X0(m).genus
+    return total
+
+
+class TestDivisorSums:
+    """The per-prime-power products against the divisor sums they replace."""
+
+    def test_cusp_counts_match_divisor_sums(self):
+        for n in range(1, 2001):
+            assert dims.genus_X0(n).nu_inf == nu_inf_oracle(n), n
+        # genus_X1's cusp sum enters its genus as cusps/4
+        for n in range(5, 2001):
+            index2 = n * n
+            for q in factorize(n):
+                index2 = index2 // (q * q) * (q * q - 1)
+            assert 24 * (dims.genus_X1(n) - 1) == index2 - 6 * cusps_x1_oracle(n), n
+
+    def test_new_dimensions_match_divisor_inversion(self):
+        for n in range(1, 2001):
+            assert dims.dim_S2_new_Gamma0(n) == dim_new_oracle(n), n
+
+    def test_factors_no_divisor_twice(self, monkeypatch):
+        # arith's divisors and totient look factorize up in arith itself
+        calls = []
+        factorize = arith.factorize
+
+        def recorded(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(arith, "factorize", recorded)
+        monkeypatch.setattr(dims, "factorize", recorded)
+        # N/m runs over the divisors of N with no exponent above 2:
+        # 3 * 3 * 3 of 1800 = 2^3 3^2 5^2, 3 of 2048 and 2 * 2 of 2047 = 23 * 89
+        for n, weighted in ((1800, 27), (2048, 3), (2047, 4)):
+            dims.dim_S2_new_Gamma0.cache_clear()
+            dims.genus_X0.cache_clear()
+            calls.clear()
+            dims.dim_S2_new_Gamma0(n)
+            # the level, then each genus_X0(m) factors its own m
+            assert len(calls) == 1 + weighted, n
+            assert sorted(set(calls)) == sorted(calls[1:]), n
+        for n in (1800, 2048, 2047):
+            dims.genus_X1.cache_clear()
+            calls.clear()
+            dims.genus_X1(n)
+            assert calls == [n]
 
 
 class TestGenusX0:
