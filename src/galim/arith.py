@@ -302,16 +302,19 @@ class BernoulliTable:
 
 
 def bernoulli_mod_p(p: int) -> BernoulliTable:
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"bernoulli_mod_p needs a prime p >= 5, got {p}")
-    table = kernels.bernoulli_table_mod(p)
-    entries = dict(zip(range(2, p - 2, 2), table[2 : p - 2 : 2].tolist()))
-    return BernoulliTable(p, entries)
+    return BernoulliTable(p, dict(zip(range(2, p - 2, 2), _even_bernoulli_mod_p(p).tolist())))
 
 
 def irregular_indices(p: int) -> tuple[int, ...]:
     """Even k in [2, p-3] with B_k = 0 mod p; empty exactly for regular p."""
-    return bernoulli_mod_p(p).irregular_indices()
+    return tuple((2 * np.flatnonzero(_even_bernoulli_mod_p(p) == 0) + 2).tolist())
+
+
+def _even_bernoulli_mod_p(p: int) -> np.ndarray:
+    """B_k mod p for the even k in [2, p-3], in order."""
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"bernoulli_mod_p needs a prime p >= 5, got {p}")
+    return kernels.bernoulli_table_mod(p)[2 : p - 2 : 2]
 
 
 # ---------------------------------------------------------------------------

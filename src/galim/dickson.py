@@ -148,9 +148,13 @@ class GFq:
         return min(b0 + p * b1, -b0 % p + p * (-b1 % p))
 
     def ext_nonresidue(self) -> int:
-        """Least nonzero code that is a nonsquare in F_q itself."""
+        """Least nonzero code that is a nonsquare in F_q itself.
+
+        In F_{p^2} every code below p is an element of F_p, hence a square,
+        so the search starts at code p there.
+        """
         if self._ext_nr is None:
-            a = 2
+            a = 2 if self.r == 1 else self.p
             while self.sqrt(a) is not None:
                 a += 1
             self._ext_nr = a

@@ -3,19 +3,22 @@
 Three loops carry the toolkit's array work: the mod-p Bernoulli table, the
 listing of a projective group over PGL2(Fq), and the tame-order gcd check
 across a prime range.  The Bernoulli table comes from Newton inversion of a
-power series with Kronecker-substitution products; the O(p^2) convolution it
-replaces is kept in the tests as its oracle.  The listing multiplies out the
-Schreier-Sims transversals of ``dickson`` (every element is exactly one
-product of one transversal element per level), and lists only groups whose
-order those transversals have already shown to be small; a breadth-first
-closure stays in the tests as its oracle.  The gcd check tests only the O(1)
-closed-form exponents per prime; the full j-scan it replaces is kept in the
-tests as its oracle.
+power series with Kronecker-substitution products in slots of as few bytes
+as the coefficients need; its factorials and series coefficients are index
+lookups into the powers of a primitive root, with no loop of length p in
+Python.  The O(p^2) convolution, and the Newton route with Python-loop
+factorials and 64-bit slots, are kept in the tests as its oracles.  The
+listing multiplies out the Schreier-Sims transversals of ``dickson`` (every
+element is exactly one product of one transversal element per level), and
+lists only groups whose order those transversals have already shown to be
+small; a breadth-first closure stays in the tests as its oracle.  The gcd
+check tests only the O(1) closed-form exponents per prime; the full j-scan
+it replaces is kept in the tests as its oracle.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -43,46 +46,93 @@ def bernoulli_table_mod(p: int) -> np.ndarray:
     the series of cosh(x/2) and sinh(x/2) / (x/2), for k = 0..(p-3)/2.
     Every factorial involved is at most (p-2)!, hence invertible mod p.
     B_1 = -1/2 and the odd B_k, k >= 3, vanish.
+
+    Every residue the series need is a power of a primitive root g: with
+    the powers g^i, i = 0..p-2, and their inverse index dlog, log j! is a
+    running sum of dlog mod p-1, so j!, 1/j!, 4^-k and the coefficients are
+    lookups into the powers.  That the powers cover 1..p-1 proves p prime
+    a second time, after Miller-Rabin (Lucas).
     """
     if p < 5:
         raise ValueError("mod-p Bernoulli table needs p >= 5")
     if p >= 1 << 31:
         raise ValueError("mod-p Bernoulli table needs p < 2^31")
-    n = (p - 1) // 2
-    # j! for j = 0..p-2, then their inverses with one pow and a descending
-    # product
-    fact = [1] * (p - 1)
-    for j in range(1, p - 1):
-        fact[j] = fact[j - 1] * j % p
-    # Wilson: (p-2)! = 1 mod p exactly when p >= 5 is prime
-    if fact[-1] != 1:
+    # arith imports this module, so its deterministic Miller-Rabin comes in
+    # here; it refuses every composite before any O(p) work
+    from .arith import is_prime
+
+    if not is_prime(p):
         raise ValueError(f"mod-p Bernoulli table needs a prime p, got {p}")
-    inv_fact = [1] * (p - 1)
-    inv_fact[-1] = pow(fact[-1], p - 2, p)
-    for j in range(p - 2, 1, -1):
-        inv_fact[j - 1] = inv_fact[j] * j % p
-    inv4 = pow(4, p - 2, p)
-    c = [0] * n
-    s = [0] * n
-    w = 1  # 4^-k
-    for k in range(n):
-        c[k] = w * inv_fact[2 * k] % p
-        s[k] = w * inv_fact[2 * k + 1] % p
-        w = w * inv4 % p
-    # g = 1/S mod y^m, doubling m: g <- g (2 - S g).  S g = 1 + y^m e mod
-    # y^2m, so only e and g e need computing
-    g = np.ones(1, dtype=np.uint64)
-    m = 1
+    n = (p - 1) // 2
+    power = _powers(_primitive_root(p), p)
+    dlog = np.full(p, -1, dtype=np.int64)
+    dlog[power] = np.arange(p - 1)
+    # Lucas: the powers of g cover 1..p-1 only when p is prime
+    if (dlog[1:] < 0).any():
+        raise ValueError(f"mod-p Bernoulli table needs a prime p, got {p}")
+    # log j! for j = 0..p-2; below 2^62 before the reduction
+    log_fact = np.zeros(p - 1, dtype=np.int64)
+    np.cumsum(dlog[1 : p - 1], out=log_fact[1:])
+    log_fact %= p - 1
+    # log 4^-k (2k)!^-1 and log 4^-k (2k+1)!^-1, k = 0..n-1
+    log_4k = np.arange(n, dtype=np.int64) * dlog[4]
+    c = power[-(log_4k + log_fact[0::2]) % (p - 1)]
+    s = power[-(log_4k + log_fact[1::2]) % (p - 1)]
+    # inv = 1/S mod y^m: the first 16 terms from inv_k = -sum_{j=1..k}
+    # s_j inv_(k-j), which beats that many tiny products, then doubling m:
+    # inv <- inv (2 - S inv).  S inv = 1 + y^m e mod y^2m, so only e and
+    # inv e need computing
+    m = min(n, 16)
+    head = s[:m].tolist()
+    inv = [1]
+    for k in range(1, m):
+        inv.append(-sum(x * y for x, y in zip(head[1 : k + 1], reversed(inv))) % p)
+    inv = np.asarray(inv, dtype=np.uint64)
     while m < n:
         m2 = min(2 * m, n)
-        e = _mul_mod(s[:m2], g, p, m2)[m:]
-        g = np.concatenate([g, (p - _mul_mod(g, e, p, m2 - m)) % p])
+        e = _mul_mod(s[:m2], inv, p, m2)[m:]
+        inv = np.concatenate([inv, (p - _mul_mod(inv, e, p, m2 - m)) % p])
         m = m2
-    ratio = _mul_mod(c, g, p, n)
+    ratio = _mul_mod(c, inv, p, n)
     B = np.zeros(p - 2, dtype=np.int64)
-    B[0::2] = np.asarray(fact[0 : p - 2 : 2], dtype=np.uint64) * ratio % p
+    B[0::2] = power[log_fact[0::2]] * ratio % p
     B[1] = (p - 1) // 2
     return B
+
+
+def _primitive_root(p: int) -> int:
+    """The least g with g^((p-1)/q) != 1 mod p for every prime q | p-1, from
+    trial division of p-1; p must be prime."""
+    qs = []
+    m = p - 1
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            qs.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1 + (q > 2)
+    if m > 1:
+        qs.append(m)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return g
+
+
+def _powers(g: int, p: int) -> np.ndarray:
+    """g^i mod p for i = 0..p-2 as uint64, an outer product of about sqrt(p)
+    baby steps g^j and as many giant steps g^(mj)."""
+    m = isqrt(p - 2) + 1
+    baby = [1] * m
+    for j in range(1, m):
+        baby[j] = baby[j - 1] * g % p
+    step = baby[-1] * g % p
+    giant = [1] * -(-(p - 1) // m)
+    for i in range(1, len(giant)):
+        giant[i] = giant[i - 1] * step % p
+    table = np.asarray(giant, dtype=np.uint64)[:, None] * np.asarray(baby, dtype=np.uint64) % p
+    return table.ravel()[: p - 1]
 
 
 # private so that the per-layer trace, which wraps public names only, keeps
@@ -91,29 +141,31 @@ def _mul_mod(a, b, p: int, n: int) -> np.ndarray:
     """First n coefficients of a*b mod p, as uint64, for residue sequences a
     and b, by Kronecker substitution on Python ints.
 
-    A coefficient of the exact product is below min(len a, len b)(p-1)^2,
-    so it fits a 64-bit slot while that is below 2^64 (p below about 2^21
-    for a full table) and a 128-bit slot, read as two 64-bit limbs, up to
-    p < 2^31.
+    A coefficient of the exact product is at most min(len a, len b)(p-1)^2,
+    so it fits a slot of w = ceil(bitlen/8) bytes of that bound: 4 bytes for
+    a full table at p < 2000.  A slot of at most 8 bytes is read back as one
+    64-bit word; a wider one, up to p < 2^31, as two 64-bit limbs.
     """
-    a = np.asarray(a[:n], dtype="<u8")
-    b = np.asarray(b[:n], dtype="<u8")
-    wide = min(len(a), len(b)) * (p - 1) ** 2 >= 1 << 64
-    limbs = 2 if wide else 1
-    prod = _pack(a, limbs) * _pack(b, limbs)
-    size = max(len(a) + len(b) - 1, n) * limbs * 8
-    out = np.frombuffer(prod.to_bytes(size, "little"), dtype="<u8", count=n * limbs)
-    if not wide:
-        return out % p
-    out = out.reshape(n, 2) % p
+    a = np.ascontiguousarray(a[:n], dtype="<u8")
+    b = np.ascontiguousarray(b[:n], dtype="<u8")
+    w = -(-(min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8)
+    limbs = 1 if w <= 8 else 2
+    prod = _pack(a, w) * _pack(b, w)
+    size = max(len(a) + len(b) - 1, n) * w
+    slots = np.zeros((n, 8 * limbs), dtype=np.uint8)
+    slots[:, :w] = np.frombuffer(prod.to_bytes(size, "little"), dtype=np.uint8, count=n * w).reshape(n, w)
+    out = slots.view("<u8") % p
+    if limbs == 1:
+        return out.ravel()
     return (out[:, 1] * ((1 << 64) % p) + out[:, 0]) % p
 
 
-def _pack(a: np.ndarray, limbs: int) -> int:
-    """The integer with little-endian slots of `limbs` 64-bit words holding a."""
-    if limbs > 1:
-        a = np.pad(a[:, None], ((0, 0), (0, limbs - 1)))
-    return int.from_bytes(a.tobytes(), "little")
+def _pack(a: np.ndarray, w: int) -> int:
+    """The integer whose little-endian w-byte slots hold a."""
+    rows = a.view(np.uint8).reshape(-1, 8)
+    if w > 8:
+        rows = np.pad(rows, ((0, 0), (0, w - 8)))
+    return int.from_bytes(rows[:, :w].tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------

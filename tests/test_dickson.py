@@ -135,6 +135,16 @@ class TestGFq:
             n = f.ext_nonresidue()
             assert f.sqrt(n) is None
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 29, 31, 37, 43])
+    def test_ext_nonresidue_matches_search_from_two(self, p):
+        # p = 1 mod 4 gives x itself (code p); p = 3 mod 4 a later code
+        f = GFq(p, 2)
+        a = 2
+        while f.sqrt(a) is not None:
+            a += 1
+        assert f.ext_nonresidue() == a
+        assert (a == p) == (p % 4 == 1)
+
     @pytest.mark.parametrize("p", [7, 13])
     def test_prime_field_sqrt_builds_no_table(self, p):
         f = GFq(p)

@@ -1,5 +1,6 @@
-"""Kernel checks against independent routes: exact rational Bernoulli numbers
-and the O(p^2) Pascal-row convolution for the Newton-inversion table, a
+"""Kernel checks against independent routes: exact rational Bernoulli numbers,
+the O(p^2) Pascal-row convolution and the Newton route with factorials from
+Python loops and 64-bit Kronecker slots for the Newton-inversion table, a
 schoolbook product for its Kronecker multiply, a full j-scan oracle for the
 closed-form eta check, and known group orders and Python matrix products for
 the transversal-product listing (the breadth-first closure oracle of the
@@ -39,6 +40,77 @@ def _schoolbook_mod(a, b, p):
     return out
 
 
+def _word_slot_mul_mod(a, b, p, n):
+    """First n coefficients of a*b mod p by Kronecker substitution with
+    one 64-bit word per slot, or two when min(len a, len b)(p-1)^2 >= 2^64."""
+    a = np.asarray(a[:n], dtype="<u8")
+    b = np.asarray(b[:n], dtype="<u8")
+    limbs = 2 if min(len(a), len(b)) * (p - 1) ** 2 >= 1 << 64 else 1
+
+    def pack(x):
+        return int.from_bytes(np.pad(x[:, None], ((0, 0), (0, limbs - 1))).tobytes(), "little")
+
+    size = max(len(a) + len(b) - 1, n) * limbs * 8
+    out = np.frombuffer((pack(a) * pack(b)).to_bytes(size, "little"), dtype="<u8", count=n * limbs)
+    out = out.reshape(n, limbs) % p
+    if limbs == 1:
+        return out[:, 0]
+    return (out[:, 1] * ((1 << 64) % p) + out[:, 0]) % p
+
+
+def _newton_table_oracle(p):
+    """The Newton-inversion table with j!, 1/j! and the series built by
+    Python loops over lists, and products in 64-bit word slots."""
+    n = (p - 1) // 2
+    fact = [1] * (p - 1)
+    for j in range(1, p - 1):
+        fact[j] = fact[j - 1] * j % p
+    inv_fact = [1] * (p - 1)
+    inv_fact[-1] = pow(fact[-1], p - 2, p)
+    for j in range(p - 2, 1, -1):
+        inv_fact[j - 1] = inv_fact[j] * j % p
+    inv4 = pow(4, p - 2, p)
+    c = [0] * n
+    s = [0] * n
+    w = 1
+    for k in range(n):
+        c[k] = w * inv_fact[2 * k] % p
+        s[k] = w * inv_fact[2 * k + 1] % p
+        w = w * inv4 % p
+    g = np.ones(1, dtype=np.uint64)
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        e = _word_slot_mul_mod(s[:m2], g, p, m2)[m:]
+        g = np.concatenate([g, (p - _word_slot_mul_mod(g, e, p, m2 - m)) % p])
+        m = m2
+    ratio = _word_slot_mul_mod(c, g, p, n)
+    B = np.zeros(p - 2, dtype=np.int64)
+    B[0::2] = np.asarray(fact[0 : p - 2 : 2], dtype=np.uint64) * ratio % p
+    B[1] = (p - 1) // 2
+    return B
+
+
+def _slot_bytes(p, length):
+    return -(-(length * (p - 1) ** 2).bit_length() // 8)
+
+
+# (p, L): L (p-1)^2 fills the top byte of a w-byte slot, w = 1..8 in order,
+# and (L+1) (p-1)^2 needs one byte more; the last row moves from 8-byte
+# slots to the two-limb route, and 2^31 - 1 stays on it
+SLOT_ROWS = [
+    (5, 15),
+    (47, 30),
+    (727, 31),
+    (11587, 31),
+    (185369, 31),
+    (2965847, 31),
+    (47453149, 31),
+    (759250133, 31),
+    ((1 << 31) - 1, 50),
+]
+
+
 class TestBernoulliKernel:
     def test_against_exact(self):
         for p in (5, 13, 37):
@@ -61,8 +133,14 @@ class TestBernoulliKernel:
         assert table.dtype == np.int64
         assert np.array_equal(table, _bernoulli_table_oracle(p))
 
+    def test_slot_rows_cross_every_byte_boundary(self):
+        assert [_slot_bytes(p, L) for p, L in SLOT_ROWS[:-1]] == list(range(1, 9))
+        assert [_slot_bytes(p, L + 1) for p, L in SLOT_ROWS[:-1]] == list(range(2, 10))
+        assert _slot_bytes(*SLOT_ROWS[-1]) > 8
+        assert all(arith.is_prime(p) for p, _ in SLOT_ROWS)
+
     # 2^31 - 1, the largest prime the table accepts, puts 50-term products
-    # in 128-bit slots; 1999 keeps them in 64-bit slots
+    # on the two-limb route; 1999 puts them in 4-byte slots
     @pytest.mark.parametrize("p", [1999, (1 << 31) - 1])
     @settings(max_examples=25)
     @given(
@@ -77,16 +155,48 @@ class TestBernoulliKernel:
         assert kernels._mul_mod(a, b, p, len(want)).tolist() == want
         assert kernels._mul_mod(a, b, p, 30).tolist() == want[:30]
 
+    @pytest.mark.parametrize("p, L", SLOT_ROWS)
+    @settings(max_examples=15)
+    @given(st.data())
+    def test_kronecker_multiply_at_every_slot_width(self, p, L, data):
+        # lengths L and L+1 put the bound on both sides of a byte boundary;
+        # the all-(p-1) inputs fill the top slot byte
+        top = data.draw(st.booleans())
+        la, lb = (data.draw(st.integers(L, L + 1)) for _ in range(2))
+        a = [p - 1] * la if top else data.draw(st.lists(st.integers(0, p - 1), min_size=la, max_size=la))
+        b = [p - 1] * lb if top else data.draw(st.lists(st.integers(0, p - 1), min_size=lb, max_size=lb))
+        want = _schoolbook_mod(a, b, p)
+        assert kernels._mul_mod(a, b, p, len(want)).tolist() == want
+        assert kernels._mul_mod(a, b, p, L).tolist() == want[:L]
+        assert kernels._mul_mod(np.asarray(a, dtype=np.uint64), b, p, 7).tolist() == want[:7]
+
+    @pytest.mark.parametrize("p", [1999, 4194301, (1 << 31) - 1])
+    def test_kronecker_multiply_matches_word_slots(self, p):
+        # long operands, 4-byte to two-limb slots
+        rng = np.random.default_rng(p)
+        a = rng.integers(0, p, 1000, dtype=np.uint64)
+        b = rng.integers(0, p, 700, dtype=np.uint64)
+        for n in (1699, 1000, 400):
+            assert np.array_equal(kernels._mul_mod(a, b, p, n), _word_slot_mul_mod(a, b, p, n))
+
+    @pytest.mark.parametrize("p", [4001, 10007, 30011])
+    def test_matches_word_slot_newton_route(self, p):
+        assert np.array_equal(kernels.bernoulli_table_mod(p), _newton_table_oracle(p))
+
     def test_domain_guards(self):
         with pytest.raises(ValueError):
             kernels.bernoulli_table_mod(3)
         with pytest.raises(ValueError):
             kernels.bernoulli_table_mod(1 << 31)
 
-    @pytest.mark.parametrize("n", [9, 15, 25, 561])
-    def test_rejects_composite_moduli(self, n):
-        # 561 is a Carmichael number, so no Fermat test would catch it
-        with pytest.raises(ValueError, match="prime"):
+    @pytest.mark.parametrize("n", [9, 15, 25, 49, 121, 561, 1729, 294409, 172947529])
+    def test_rejects_composite_moduli(self, n, monkeypatch):
+        # 561, 1729, 294409 and 172947529 = 307 * 613 * 919 are Carmichael
+        # numbers, so no Fermat test would catch them, and no g meets
+        # Lucas's conditions for them; without numpy the refusal shows that
+        # it comes before any O(p) array work
+        monkeypatch.setattr(kernels, "np", None)
+        with pytest.raises(ValueError, match="needs a prime p"):
             kernels.bernoulli_table_mod(n)
 
 
