@@ -311,9 +311,8 @@ def irregular_indices(p: int) -> tuple[int, ...]:
 
 
 def _even_bernoulli_mod_p(p: int) -> np.ndarray:
-    """B_k mod p for the even k in [2, p-3], in order."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"bernoulli_mod_p needs a prime p >= 5, got {p}")
+    """B_k mod p for the even k in [2, p-3], in order; the kernel refuses
+    p < 5 and composite p with a ValueError."""
     return kernels.bernoulli_table_mod(p)[2 : p - 2 : 2]
 
 

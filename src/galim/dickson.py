@@ -14,7 +14,10 @@ the generators and their pairwise products, and walks a decision cascade:
 
   1. a common rational fixed line          -> reducible (Borel)
   2. a preserved unordered pair of lines   -> Cartan / Cartan-normalizer,
-     split when the pair is rational, nonsplit when conjugate over F_{q^2}
+     split when the pair is rational, nonsplit when conjugate over F_{q^2};
+     a nonscalar m = [[a, b], [c, d]] fixes exactly the roots of the form
+     c x^2 + (d - a) xy - b y^2, and g preserves that pair when g m g^-1
+     has the same form, so this stage computes in F_q alone
   3. projective order 12 / 24 / 60 with the right element-order statistics
      -> exceptional A4 / S4 / A5
   4. order divisible by p and irreducible  -> contains PSL2 of a subfield
@@ -50,10 +53,12 @@ class GFq:
     Elements are integer codes: a0 for r = 1, a0 + p*a1 for r = 2 meaning
     a0 + a1*x with x^2 = n for the least quadratic nonresidue n mod p.  The
     code order doubles as the deterministic tie-break everywhere.  No
-    operation builds a table of size q.
+    operation builds a table of size q.  ``add`` and ``mul`` reduce every
+    product and every summand mod p first, so they are also exact on int64
+    arrays of codes whenever p^2 < 2^63.
     """
 
-    __slots__ = ("p", "r", "q", "nonresidue", "_ext_nr")
+    __slots__ = ("p", "r", "q", "nonresidue")
 
     def __init__(self, p: int, r: int = 1) -> None:
         if p == 2 or not is_prime(p):
@@ -70,7 +75,6 @@ class GFq:
             self.nonresidue = n
         else:
             self.nonresidue = None
-        self._ext_nr: int | None = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GFq) and (self.p, self.r) == (other.p, other.r)
@@ -88,7 +92,7 @@ class GFq:
         if self.r == 1:
             return (a + b) % self.p
         p = self.p
-        return (a + b) % p + p * ((a // p + b // p) % p)
+        return (a % p + b % p) % p + p * ((a // p + b // p) % p)
 
     def neg(self, a: int) -> int:
         if self.r == 1:
@@ -105,7 +109,8 @@ class GFq:
             return a * b % p
         a0, a1 = a % p, a // p
         b0, b1 = b % p, b // p
-        return (a0 * b0 + self.nonresidue * a1 * b1) % p + p * ((a0 * b1 + a1 * b0) % p)
+        real = a0 * b0 % p + self.nonresidue * (a1 * b1 % p)
+        return real % p + p * ((a0 * b1 % p + a1 * b0 % p) % p)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -146,19 +151,6 @@ class GFq:
             b0 = sqrt_mod((a0 - t) * half, p)
         b1 = a1 * pow(2 * b0, -1, p) % p
         return min(b0 + p * b1, -b0 % p + p * (-b1 % p))
-
-    def ext_nonresidue(self) -> int:
-        """Least nonzero code that is a nonsquare in F_q itself.
-
-        In F_{p^2} every code below p is an element of F_p, hence a square,
-        so the search starts at code p there.
-        """
-        if self._ext_nr is None:
-            a = 2 if self.r == 1 else self.p
-            while self.sqrt(a) is not None:
-                a += 1
-            self._ext_nr = a
-        return self._ext_nr
 
 
 @dataclass(frozen=True)
@@ -258,7 +250,7 @@ def _elements(field: GFq, transversals: list[dict[int, Mat2]]) -> frozenset[Mat2
             f"projective closure has {n} elements, above the listing limit {MAX_CLOSURE_ORDER}"
         )
     levels = [[(u.a, u.b, u.c, u.d) for u in t.values()] for t in transversals]
-    rows = closure_codes(levels, field.p, field.r, field.nonresidue or 0, field.inv)
+    rows = closure_codes(levels, field)
     if len(rows) != n:
         raise InternalInconsistencyError(
             f"transversal products give {len(rows)} distinct elements, not the order {n}"
@@ -267,51 +259,56 @@ def _elements(field: GFq, transversals: list[dict[int, Mat2]]) -> frozenset[Mat2
 
 
 # ---------------------------------------------------------------------------
-# Fixed lines of a single matrix
+# Fixed pairs of lines as binary quadratic forms over F_q
 # ---------------------------------------------------------------------------
 
-_SCALAR = "scalar"
-_RATIONAL = "rational"
-_NONRATIONAL = "nonrational"
 
+def _form(m: Mat2) -> tuple[int, int, int] | None:
+    """The binary quadratic form c x^2 + (d - a) xy - b y^2 of m, scaled so
+    that its first nonzero coefficient is 1, or None for scalar m.
 
-def _fixed_lines(m: Mat2) -> tuple[str, frozenset[int] | None, tuple[int, int] | None]:
-    """Fixed points of m on the projective line, as slope codes.
-
-    A line spanned by (x, y) is coded by the slope t = x/y in F_q, with the
-    vertical line (1, 0) coded as q.  Returns one of
-      ("scalar", None, None)
-      ("rational", {codes}, None)            one or two rational lines
-      ("nonrational", None, (alpha, beta))   the conjugate pair
-                                             alpha +- beta*sqrt(N), beta > 0
-    where N is the field's least nonsquare and beta is canonicalized to the
-    smaller of +-beta so conjugate pairs compare equal.
+    Its roots x/y are the fixed slopes of m over the algebraic closure, so
+    two nonscalar matrices have equal forms exactly when they fix the same
+    pair of lines, rational or conjugate, with the same multiplicity.
     """
     f = m.field
-    inf = f.q
-    if m.is_scalar():
-        return _SCALAR, None, None
-    a, b, c, d = m.a, m.b, m.c, m.d
-    if c == 0:
-        pts = {inf}
-        if a != d:
-            pts.add(f.mul(b, f.inv(f.sub(d, a))))
-        return _RATIONAL, frozenset(pts), None
-    # slopes satisfy c t^2 + (d - a) t - b = 0
-    da = f.sub(d, a)
-    disc = f.add(f.mul(da, da), f.mul(f.from_int(4), f.mul(b, c)))
-    inv2c = f.inv(f.mul(f.from_int(2), c))
-    s = f.sqrt(disc)
-    if s is not None:
-        t1 = f.mul(f.add(f.sub(a, d), s), inv2c)
-        t2 = f.mul(f.sub(f.sub(a, d), s), inv2c)
-        return _RATIONAL, frozenset({t1, t2}), None
-    n = f.ext_nonresidue()
-    w = f.sqrt(f.mul(disc, f.inv(n)))
-    assert w is not None  # disc nonsquare, so disc/N is a square
-    alpha = f.mul(f.sub(a, d), inv2c)
-    beta = f.mul(w, inv2c)
-    return _NONRATIONAL, None, (alpha, min(beta, f.neg(beta)))
+    coeffs = (m.c, f.sub(m.d, m.a), f.neg(m.b))
+    lead = next((x for x in coeffs if x), None)
+    if lead is None:
+        return None
+    s = f.inv(lead)
+    return tuple(f.mul(x, s) for x in coeffs)
+
+
+def _fixed_lines(m: Mat2) -> tuple[tuple[int, int, int], frozenset[int]] | None:
+    """Fixed lines of m on the projective line, or None for scalar m.
+
+    Returns ``(form, slopes)``: the form of ``_form`` and the codes of its
+    rational roots.  A line spanned by (x, y) is coded by the slope t = x/y
+    in F_q, with the vertical line (1, 0) coded as q.  A split pair has two
+    rational slopes, a double root one, and a conjugate pair none.
+    """
+    form = _form(m)
+    if form is None:
+        return None
+    f = m.field
+    u, v, w = form
+    if u == 0:
+        # y divides the form: infinity is a root, and x + w y the other
+        # factor unless the form is y^2
+        return form, frozenset({f.q} if v == 0 else {f.q, f.neg(w)})
+    # slopes satisfy t^2 + v t + w = 0
+    s = f.sqrt(f.sub(f.mul(v, v), f.mul(f.from_int(4), w)))
+    if s is None:
+        return form, frozenset()
+    half = f.inv(f.from_int(2))
+    return form, frozenset({f.mul(f.sub(s, v), half), f.mul(f.neg(f.add(s, v)), half)})
+
+
+def _preserves(g: Mat2, h: Mat2) -> bool:
+    """Whether g maps the fixed pair of the nonscalar h onto itself: g h g^-1
+    fixes the image of that pair, so it has h's form exactly then."""
+    return _form(g * h * g.adjugate()) == _form(h)
 
 
 def _moebius(m: Mat2, t: int) -> int:
@@ -323,29 +320,6 @@ def _moebius(m: Mat2, t: int) -> int:
     if den == 0:
         return f.q
     return f.mul(f.add(f.mul(m.a, t), m.b), f.inv(den))
-
-
-def _moebius_ext(m: Mat2, z: tuple[int, int]) -> tuple[int, int]:
-    """Action of m on z0 + z1*sqrt(N) in the quadratic extension of F_q.
-
-    z1 != 0, so the denominator never vanishes for invertible m.
-    """
-    f = m.field
-    n = f.ext_nonresidue()
-
-    def emul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-        return (
-            f.add(f.mul(u[0], v[0]), f.mul(n, f.mul(u[1], v[1]))),
-            f.add(f.mul(u[0], v[1]), f.mul(u[1], v[0])),
-        )
-
-    num = (f.add(f.mul(m.a, z[0]), m.b), f.mul(m.a, z[1]))
-    den = (f.add(f.mul(m.c, z[0]), m.d), f.mul(m.c, z[1]))
-    norm = f.sub(f.mul(den[0], den[0]), f.mul(n, f.mul(den[1], den[1])))
-    conj = (den[0], f.neg(den[1]))
-    out = emul(num, conj)
-    s = f.inv(norm)
-    return f.mul(out[0], s), f.mul(out[1], s)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +408,6 @@ def _orbit_transversal(point: int, gens: list[Mat2], one: Mat2) -> dict[int, Mat
     return out
 
 
-def _preserves_rational_pair(m: Mat2, pair: frozenset[int]) -> bool:
-    return all(_moebius(m, t) in pair for t in pair)
-
-
-def _preserves_conjugate_pair(m: Mat2, pair: tuple[int, int]) -> bool:
-    alpha, beta = pair
-    z0, z1 = _moebius_ext(m, (alpha, beta))
-    return z0 == alpha and z1 in (beta, m.field.neg(beta))
-
-
 # ---------------------------------------------------------------------------
 # Classification cascade
 # ---------------------------------------------------------------------------
@@ -499,39 +463,25 @@ def classify(generators: list[Mat2]) -> DicksonReport:
     nonscalar_gens = sorted(set(nonscalar_gens), key=lambda m: (m.a, m.b, m.c, m.d))
 
     fixed = [_fixed_lines(g) for g in nonscalar_gens]
-
-    common_rational: set[int] | None = None
-    for kind, pts, _ in fixed:
-        if kind != _RATIONAL:
-            common_rational = set()
-            break
-        common_rational = set(pts) if common_rational is None else common_rational & pts
-    assert common_rational is not None
+    common_rational = frozenset.intersection(*(slopes for _, slopes in fixed))
     reducible = len(common_rational) >= 1
     split_cartan = len(common_rational) >= 2
-
-    nonrational_pairs = {pair for kind, _, pair in fixed if kind == _NONRATIONAL}
-    nonsplit_cartan = len(nonrational_pairs) == 1 and all(
-        kind == _NONRATIONAL for kind, _, _ in fixed
-    )
+    nonsplit_cartan = len({form for form, _ in fixed}) == 1 and not fixed[0][1]
 
     # Every element of N(C) outside the Cartan C is an involution.  So a
     # group inside N(C) either has exponent 2 (its generators commute: an
     # involution or a Klein four group, which lie in both normalizer types)
     # or has a generator or pairwise product of order > 2, which lies in C
-    # and fixes C's pair of lines.
+    # and fixes C's pair of lines: two rational ones for a split C, a
+    # conjugate pair for a nonsplit one.
     exponent_2 = n <= 4 and set(stats) <= {1, 2}
-    lines = fixed + [_fixed_lines(g * h) for g, h in combinations(nonscalar_gens, 2)]
-    in_norm_split = exponent_2 or any(
-        all(_preserves_rational_pair(g, pts) for g in nonscalar_gens)
-        for kind, pts, _ in lines
-        if kind == _RATIONAL and len(pts) == 2
-    )
-    in_norm_nonsplit = exponent_2 or any(
-        all(_preserves_conjugate_pair(g, pair) for g in nonscalar_gens)
-        for kind, _, pair in lines
-        if kind == _NONRATIONAL
-    )
+    preserved: set[int] = set()
+    for h in nonscalar_gens + [g * h for g, h in combinations(nonscalar_gens, 2)]:
+        lines = _fixed_lines(h)
+        if lines is not None and all(_preserves(g, h) for g in nonscalar_gens):
+            preserved.add(len(lines[1]))
+    in_norm_split = exponent_2 or 2 in preserved
+    in_norm_nonsplit = exponent_2 or 0 in preserved
 
     exceptional = "none"
     if not reducible and not in_norm_split and not in_norm_nonsplit and n % p:

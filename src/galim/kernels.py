@@ -9,9 +9,10 @@ lookups into the powers of a primitive root, with no loop of length p in
 Python.  The O(p^2) convolution, and the Newton route with Python-loop
 factorials and 64-bit slots, are kept in the tests as its oracles.  The
 listing multiplies out the Schreier-Sims transversals of ``dickson`` (every
-element is exactly one product of one transversal element per level), and
-lists only groups whose order those transversals have already shown to be
-small; a breadth-first closure stays in the tests as its oracle.  The gcd
+element is exactly one product of one transversal element per level) with
+the field arithmetic of ``dickson.GFq``, applied to whole arrays, and lists
+only groups whose order those transversals have already shown to be small;
+a breadth-first closure stays in the tests as its oracle.  The gcd
 check tests only the O(1) closed-form exponents per prime; the full j-scan
 it replaces is kept in the tests as its oracle.
 """
@@ -57,14 +58,15 @@ def bernoulli_table_mod(p: int) -> np.ndarray:
         raise ValueError("mod-p Bernoulli table needs p >= 5")
     if p >= 1 << 31:
         raise ValueError("mod-p Bernoulli table needs p < 2^31")
-    # arith imports this module, so its deterministic Miller-Rabin comes in
-    # here; it refuses every composite before any O(p) work
-    from .arith import is_prime
+    # arith imports this module, so its deterministic Miller-Rabin and its
+    # factorization come in here; the test refuses every composite before
+    # any O(p) work
+    from .arith import factorize, is_prime
 
     if not is_prime(p):
         raise ValueError(f"mod-p Bernoulli table needs a prime p, got {p}")
     n = (p - 1) // 2
-    power = _powers(_primitive_root(p), p)
+    power = _powers(_primitive_root(p, factorize(p - 1)), p)
     dlog = np.full(p, -1, dtype=np.int64)
     dlog[power] = np.arange(p - 1)
     # Lucas: the powers of g cover 1..p-1 only when p is prime
@@ -100,22 +102,11 @@ def bernoulli_table_mod(p: int) -> np.ndarray:
     return B
 
 
-def _primitive_root(p: int) -> int:
-    """The least g with g^((p-1)/q) != 1 mod p for every prime q | p-1, from
-    trial division of p-1; p must be prime."""
-    qs = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            qs.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1 + (q > 2)
-    if m > 1:
-        qs.append(m)
+def _primitive_root(p: int, factors) -> int:
+    """The least g with g^((p-1)/q) != 1 mod p for every prime q of
+    ``factors``, the primes of p-1; p must be prime."""
     g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
         g += 1
     return g
 
@@ -205,51 +196,37 @@ def eta_scan(primes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Products of Schreier-Sims transversals over PGL2(Fq)
 # ---------------------------------------------------------------------------
-#
-# Field elements are integer codes in [0, q).  For r = 2 the code of
-# a0 + a1*x (x^2 = nr) is a0 + p*a1.  Every product below is of two
-# residues mod p, or of nr < p and a residue, so p^2 < 2^63 keeps it in int64.
 
 
-def closure_codes(levels, p: int, r: int, nr: int, inv) -> np.ndarray:
+def closure_codes(levels, field) -> np.ndarray:
     """Distinct scalar-normalized products u_0 u_1 ... u_k, one factor from
     each level, as sorted rows (a, b, c, d) of field codes.
 
-    Each level is a sequence of matrix rows (a, b, c, d); ``inv`` inverts a
-    nonzero field code and is called once per distinct lead entry.  The
-    result holds every product, so callers bound its size first
-    (``dickson.closure`` reads it from the Schreier-Sims transversals).
+    Each level is a sequence of matrix rows (a, b, c, d) over ``field``, a
+    ``dickson.GFq``: its ``add`` and ``mul`` run on whole int64 arrays, and
+    its ``inv`` once per distinct lead entry.  The result holds every
+    product, so callers bound its size first (``dickson.closure`` reads it
+    from the Schreier-Sims transversals).
     """
+    p = field.p
     if p * p >= 1 << 63:
         raise ValueError(f"listing group elements needs p^2 < 2^63 for int64 products, got p = {p}")
-
-    def gmul(a, b):
-        if r == 1:
-            return a * b % p
-        a0, a1 = a % p, a // p
-        b0, b1 = b % p, b // p
-        return (a0 * b0 % p + nr * (a1 * b1 % p)) % p + p * ((a0 * b1 % p + a1 * b0 % p) % p)
-
-    def gadd(a, b):
-        if r == 1:
-            return (a + b) % p
-        return (a % p + b % p) % p + p * ((a // p + b // p) % p)
-
+    add, mul = field.add, field.mul
     acc = np.array([[1, 0, 0, 1]], dtype=np.int64)
     for level in levels:
         x = acc[:, None, :]
         y = np.asarray(level, dtype=np.int64).reshape(1, -1, 4)
         acc = np.stack(
             [
-                gadd(gmul(x[..., 0], y[..., 0]), gmul(x[..., 1], y[..., 2])),
-                gadd(gmul(x[..., 0], y[..., 1]), gmul(x[..., 1], y[..., 3])),
-                gadd(gmul(x[..., 2], y[..., 0]), gmul(x[..., 3], y[..., 2])),
-                gadd(gmul(x[..., 2], y[..., 1]), gmul(x[..., 3], y[..., 3])),
+                add(mul(x[..., 0], y[..., 0]), mul(x[..., 1], y[..., 2])),
+                add(mul(x[..., 0], y[..., 1]), mul(x[..., 1], y[..., 3])),
+                add(mul(x[..., 2], y[..., 0]), mul(x[..., 3], y[..., 2])),
+                add(mul(x[..., 2], y[..., 1]), mul(x[..., 3], y[..., 3])),
             ],
             axis=-1,
         ).reshape(-1, 4)
     # the lead entry is the first nonzero one of each row
     lead = acc[np.arange(len(acc)), (acc != 0).argmax(axis=1)]
     values, where = np.unique(lead, return_inverse=True)
-    inverses = np.array([inv(v) for v in values.tolist()], dtype=np.int64)
-    return np.unique(gmul(acc, inverses[where][:, None]), axis=0)
+    inverses = np.array([field.inv(v) for v in values.tolist()], dtype=np.int64)
+    return np.unique(mul(acc, inverses[where][:, None]), axis=0)

@@ -203,15 +203,16 @@ def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int]]:
 def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
     """Run a witness family over all primes in [lo, hi], inclusive.
 
-    jobs > 1 splits the range into that many contiguous chunks, handled by
-    at most os.cpu_count() worker processes; aggregation happens after the
-    in-order merge, so the report never depends on the job count.
+    jobs > 1 splits the range into that many contiguous chunks, at most one
+    per integer of the range, handled by at most os.cpu_count() worker
+    processes; aggregation happens after the in-order merge, so the report
+    never depends on the job count.
     """
     if kind not in SCAN_KINDS:
         raise ValueError(f"kind must be one of {SCAN_KINDS}, got {kind!r}")
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    jobs = max(1, jobs)
+    jobs = max(1, min(jobs, hi - lo + 1))
 
     if jobs == 1:
         chunks = [_scan_chunk(kind, lo, hi)]

@@ -269,6 +269,18 @@ class TestBernoulli:
         for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47):
             assert arith.irregular_indices(p) == ()
 
+    def test_table_proves_its_prime_once(self, monkeypatch):
+        # the kernel's Miller-Rabin is the one primality test on this path
+        calls = []
+        mr = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or mr(n))
+        assert arith.bernoulli_mod_p(1009).p == 1009
+        assert arith.irregular_indices(1009) == ()
+        assert calls == [1009, 1009]
+        for n in (3, 4, 9, 1 << 31):
+            with pytest.raises(ValueError, match="mod-p Bernoulli table needs"):
+                arith.bernoulli_mod_p(n)
+
 
 class TestSqrtMod:
     def test_roots_square_back(self):

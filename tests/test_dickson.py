@@ -1,8 +1,9 @@
 """Classification of projective matrix groups over small fields: field and
 matrix arithmetic, Schreier-Sims group orders and transversal-product
-listings against a breadth-first closure oracle, and the full decision
-cascade against an oracle that searches every listed element for Cartan
-normalizers."""
+listings against a breadth-first closure oracle, fixed pairs as quadratic
+forms against Moebius arithmetic in the quadratic extension of F_q, and the
+full decision cascade against an oracle that searches every listed element
+for Cartan normalizers on that extension-field route."""
 
 import random
 from collections import Counter
@@ -34,6 +35,82 @@ def least_root_table(field):
     for x in range(field.q):
         least.setdefault(field.mul(x, x), x)
     return least
+
+
+def least_nonsquare(field):
+    """Least nonzero code that is a nonsquare in F_q itself.
+
+    In F_{p^2} every code below p is an element of F_p, hence a square, so
+    the search starts at code p there.
+    """
+    a = 2 if field.r == 1 else field.p
+    while field.sqrt(a) is not None:
+        a += 1
+    return a
+
+
+def fixed_lines_ext(m):
+    """Fixed points of m on the projective line over the quadratic extension
+    F_q(sqrt(N)), N = least_nonsquare, independent of the quadratic forms.
+
+    Returns one of
+      ("scalar", None, None)
+      ("rational", {codes}, None)            one or two rational slope codes
+      ("nonrational", None, (alpha, beta))   the conjugate pair
+                                             alpha +- beta*sqrt(N)
+    with beta canonicalized to the smaller of +-beta, so that conjugate
+    pairs compare equal.
+    """
+    f = m.field
+    inf = f.q
+    if m.is_scalar():
+        return "scalar", None, None
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if c == 0:
+        pts = {inf}
+        if a != d:
+            pts.add(f.mul(b, f.inv(f.sub(d, a))))
+        return "rational", frozenset(pts), None
+    # slopes satisfy c t^2 + (d - a) t - b = 0
+    da = f.sub(d, a)
+    disc = f.add(f.mul(da, da), f.mul(f.from_int(4), f.mul(b, c)))
+    inv2c = f.inv(f.mul(f.from_int(2), c))
+    s = f.sqrt(disc)
+    if s is not None:
+        t1 = f.mul(f.add(f.sub(a, d), s), inv2c)
+        t2 = f.mul(f.sub(f.sub(a, d), s), inv2c)
+        return "rational", frozenset({t1, t2}), None
+    w = f.sqrt(f.mul(disc, f.inv(least_nonsquare(f))))
+    assert w is not None  # disc nonsquare, so disc/N is a square
+    beta = f.mul(w, inv2c)
+    return "nonrational", None, (f.mul(f.sub(a, d), inv2c), min(beta, f.neg(beta)))
+
+
+def moebius_ext(m, z):
+    """Action of m on z0 + z1*sqrt(N) in the quadratic extension of F_q;
+    z1 != 0, so the denominator never vanishes for invertible m."""
+    f = m.field
+    n = least_nonsquare(f)
+    num = (f.add(f.mul(m.a, z[0]), m.b), f.mul(m.a, z[1]))
+    den = (f.add(f.mul(m.c, z[0]), m.d), f.mul(m.c, z[1]))
+    norm = f.sub(f.mul(den[0], den[0]), f.mul(n, f.mul(den[1], den[1])))
+    # num * conj(den) / norm
+    out0 = f.sub(f.mul(num[0], den[0]), f.mul(n, f.mul(num[1], den[1])))
+    out1 = f.sub(f.mul(num[1], den[0]), f.mul(num[0], den[1]))
+    s = f.inv(norm)
+    return f.mul(out0, s), f.mul(out1, s)
+
+
+def preserves_ext(g, lines):
+    """Whether g maps the fixed points ``fixed_lines_ext`` found onto
+    themselves: rational ones by ``_moebius``, a conjugate pair in the
+    quadratic extension."""
+    kind, pts, pair = lines
+    if kind == "rational":
+        return all(dickson._moebius(g, t) in pts for t in pts)
+    alpha, beta = pair
+    z0, z1 = moebius_ext(g, pair)
+    return z0 == alpha and z1 in (beta, g.field.neg(beta))
 
 
 def closure_oracle(generators):
@@ -130,10 +207,11 @@ class TestGFq:
             # 0 plus exactly (q-1)/2 nonzero squares
             assert roots == (f.q - 1) // 2 + 1
 
+    # least_nonsquare is the extension-field oracle's N
     def test_ext_nonresidue(self):
         for f in (GFq(7), GFq(7, 2), GFq(13)):
-            n = f.ext_nonresidue()
-            assert f.sqrt(n) is None
+            n = least_nonsquare(f)
+            assert n and f.sqrt(n) is None
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 29, 31, 37, 43])
     def test_ext_nonresidue_matches_search_from_two(self, p):
@@ -142,7 +220,7 @@ class TestGFq:
         a = 2
         while f.sqrt(a) is not None:
             a += 1
-        assert f.ext_nonresidue() == a
+        assert least_nonsquare(f) == a
         assert (a == p) == (p % 4 == 1)
 
     @pytest.mark.parametrize("p", [7, 13])
@@ -150,25 +228,55 @@ class TestGFq:
         f = GFq(p)
         least = least_root_table(f)
         assert [f.sqrt(a) for a in range(p)] == [least.get(a) for a in range(p)]
-        assert f.ext_nonresidue() == min(a for a in range(1, p) if a not in least)
+        assert least_nonsquare(f) == min(a for a in range(1, p) if a not in least)
 
     @pytest.mark.parametrize("p", [7, 11, 13, 23, 31, 47, 101])
     def test_extension_field_sqrt_matches_least_root_table(self, p):
         f = GFq(p, 2)
         least = least_root_table(f)
         assert [f.sqrt(a) for a in range(f.q)] == [least.get(a) for a in range(f.q)]
-        assert f.ext_nonresidue() == min(a for a in range(1, f.q) if a not in least)
+        assert least_nonsquare(f) == min(a for a in range(1, f.q) if a not in least)
 
     def test_extension_field_sqrt_needs_no_table(self):
         # a table of the 10^8 squares of F_{10007^2} would not fit here
         p = 10007
         f = GFq(p, 2)
         rng = random.Random(13)
+        n = least_nonsquare(f)
         for _ in range(200):
             b = rng.randrange(1, f.q)
             root = f.sqrt(f.mul(b, b))
             assert root == min(b, f.neg(b))
-            assert f.sqrt(f.mul(f.ext_nonresidue(), f.mul(b, b))) is None
+            assert f.sqrt(f.mul(n, f.mul(b, b))) is None
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_array_arithmetic_is_exact_at_the_int64_limit(self, r):
+        # 3037000493 is the largest prime with p^2 < 2^63; codes with both
+        # digits near p make every product of two residues come close to 2^63
+        p = 3037000493
+        f = GFq(p, r)
+        rng = random.Random(r)
+        digits = [0, 1, 2, p - 2, p - 1]
+        codes = [x0 + p * x1 for x0 in digits for x1 in (digits if r == 2 else [0])]
+        codes += [rng.randrange(f.q) for _ in range(100)]
+        a = [x for x in codes for _ in codes]
+        b = [y for _ in codes for y in codes]
+        arr_a, arr_b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        nr = f.nonresidue or 0
+
+        def add(x, y):
+            return (x % p + y % p) % p + p * ((x // p + y // p) % p)
+
+        def mul(x, y):
+            (x1, x0), (y1, y0) = divmod(x, p), divmod(y, p)
+            return (x0 * y0 + nr * x1 * y1) % p + p * ((x0 * y1 + x1 * y0) % p)
+
+        want_add = [add(x, y) for x, y in zip(a, b)]
+        want_mul = [mul(x, y) for x, y in zip(a, b)]
+        assert [f.add(x, y) for x, y in zip(a, b)] == want_add
+        assert [f.mul(x, y) for x, y in zip(a, b)] == want_mul
+        assert f.add(arr_a, arr_b).tolist() == want_add
+        assert f.mul(arr_a, arr_b).tolist() == want_mul
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -227,6 +335,89 @@ class TestMat2:
             assert dickson.projective_order(m) == multiplicative_order(g, 7)
         with pytest.raises(ValueError):
             dickson.projective_order(Mat2(F7, 1, 1, 1, 1))
+
+
+def nonscalar_elements(field):
+    """Every nonscalar element of PGL2(F_q), scalar-normalized."""
+    out = set()
+    for e in np.ndindex(*[field.q] * 4):
+        m = Mat2(field, *e)
+        if m.det() and not m.is_scalar():
+            out.add(m.scalar_normalized())
+    return sorted(out, key=lambda m: (m.a, m.b, m.c, m.d))
+
+
+class TestFixedPairs:
+    """Fixed pairs as quadratic forms over F_q against Moebius arithmetic in
+    its quadratic extension."""
+
+    @staticmethod
+    def assert_fixed_lines_match(elements):
+        lines = [dickson._fixed_lines(m) for m in elements]
+        oracle = [fixed_lines_ext(m) for m in elements]
+        for (form, slopes), (kind, pts, _) in zip(lines, oracle):
+            assert slopes == (pts if kind == "rational" else frozenset())
+            assert len(form) == 3 and next(x for x in form if x) == 1
+        # equal forms exactly for equal fixed pairs, rational or conjugate
+        by_form, by_pair = {}, {}
+        for i, ((form, _), (_, pts, pair)) in enumerate(zip(lines, oracle)):
+            by_form.setdefault(form, set()).add(i)
+            by_pair.setdefault(pts or pair, set()).add(i)
+        assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_pair.values()))
+
+    def test_every_element_over_f7(self):
+        elements = nonscalar_elements(F7)
+        assert len(elements) == 335
+        self.assert_fixed_lines_match(elements)
+        kinds = Counter(len(slopes) for _, slopes in map(dickson._fixed_lines, elements))
+        # PGL2(F_q) has q(q+1)/2 split tori with q-2 nonscalar elements each,
+        # q^2-1 unipotents, and q(q-1)/2 nonsplit tori with q each
+        assert kinds == {2: 28 * 5, 1: 48, 0: 21 * 7}
+        assert dickson._fixed_lines(identity_mat(F7)) is None
+        assert dickson._fixed_lines(Mat2(F7, 3, 0, 0, 3)) is None
+
+    def test_preserves_every_pair_over_f7(self):
+        elements = nonscalar_elements(F7)
+        oracle = [fixed_lines_ext(h) for h in elements]
+        for h, lines in zip(elements, oracle):
+            for g in elements:
+                assert dickson._preserves(g, h) == preserves_ext(g, lines), (g, h)
+
+    def test_sample_over_f49(self):
+        # g and h drawn from a split torus, a nonsplit torus, the flip of
+        # either and upper triangular or random matrices, conjugated by one
+        # random k, so that preserved conjugate pairs come up often
+        f = F49
+        rng = random.Random(49)
+        n = least_nonsquare(f)
+
+        def unit():
+            return rng.randrange(1, f.q)
+
+        shapes = [
+            lambda: (unit(), 0, 0, unit()),
+            lambda: (0, unit(), unit(), 0),
+            lambda: (1, 0, 0, f.neg(1)),
+            lambda: (lambda a, b: (a, f.mul(b, n), b, a))(rng.randrange(f.q), unit()),
+            lambda: (unit(), rng.randrange(f.q), 0, unit()),
+            lambda: tuple(rng.randrange(f.q) for _ in range(4)),
+        ]
+        elements, pairs = set(), []
+        while len(pairs) < 2000:
+            k = random_invertible(rng, f)
+            g, h = (k * Mat2(f, *rng.choice(shapes)()) * k.adjugate() for _ in range(2))
+            if g.det() and h.det() and not g.is_scalar() and not h.is_scalar():
+                elements |= {g, h}
+                pairs.append((g, h))
+        self.assert_fixed_lines_match(sorted(elements, key=lambda m: (m.a, m.b, m.c, m.d)))
+        outcomes = Counter()
+        for g, h in pairs:
+            lines = fixed_lines_ext(h)
+            got = dickson._preserves(g, h)
+            assert got == preserves_ext(g, lines), (g, h)
+            outcomes[lines[0], got] += 1
+        # both kinds of pair, preserved and not, all came up
+        assert len(outcomes) == 4
 
 
 class TestClosure:
@@ -562,9 +753,9 @@ def classify_oracle(generators):
         return dickson.DicksonReport(
             p, r, q, 1, True, True, True, True, True, "none", "none", "borel"
         )
-    fixed = [dickson._fixed_lines(g) for g in gens]
+    fixed = [fixed_lines_ext(g) for g in gens]
     if n == 2:
-        rational = fixed[0][0] == dickson._RATIONAL
+        rational = fixed[0][0] == "rational"
         return dickson.DicksonReport(
             p, r, q, 2, rational, rational, not rational, True, True, "none", "none",
             "borel" if rational else "dihedral-ambiguous",
@@ -572,26 +763,22 @@ def classify_oracle(generators):
 
     common = None
     for kind, pts, _ in fixed:
-        common = set() if kind != dickson._RATIONAL else set(pts) if common is None else common & pts
+        common = set() if kind != "rational" else set(pts) if common is None else common & pts
     reducible, split_cartan = len(common) >= 1, len(common) >= 2
-    pairs = {pair for kind, _, pair in fixed if kind == dickson._NONRATIONAL}
-    nonsplit_cartan = len(pairs) == 1 and all(kind == dickson._NONRATIONAL for kind, _, _ in fixed)
+    pairs = {pair for kind, _, pair in fixed if kind == "nonrational"}
+    nonsplit_cartan = len(pairs) == 1 and all(kind == "nonrational" for kind, _, _ in fixed)
 
     in_split = in_nonsplit = False
     if n <= 2 * (q + 1) and n % p:
         split_candidates, nonsplit_candidates = set(), set()
         for m in elements:
-            kind, pts, pair = dickson._fixed_lines(m)
-            if kind == dickson._RATIONAL and len(pts) == 2:
-                split_candidates.add(pts)
-            elif kind == dickson._NONRATIONAL:
-                nonsplit_candidates.add(pair)
-        in_split = any(
-            all(dickson._preserves_rational_pair(g, c) for g in gens) for c in split_candidates
-        )
-        in_nonsplit = any(
-            all(dickson._preserves_conjugate_pair(g, c) for g in gens) for c in nonsplit_candidates
-        )
+            lines = fixed_lines_ext(m)
+            if lines[0] == "rational" and len(lines[1]) == 2:
+                split_candidates.add(lines)
+            elif lines[0] == "nonrational":
+                nonsplit_candidates.add(lines)
+        in_split = any(all(preserves_ext(g, c) for g in gens) for c in split_candidates)
+        in_nonsplit = any(all(preserves_ext(g, c) for g in gens) for c in nonsplit_candidates)
     stats = dict(Counter(dickson.projective_order(m) for m in elements)) if n <= 60 else None
     klein_four = n == 4 and stats == {1: 1, 2: 3}
     in_split = in_split or klein_four
@@ -640,7 +827,7 @@ def shaped_generators(draw):
     field = draw(st.sampled_from([F7, F11, F13, F49]))
     unit = st.integers(1, field.q - 1)
     entry = st.integers(0, field.q - 1)
-    nonsquare = field.ext_nonresidue()
+    nonsquare = least_nonsquare(field)
 
     def nonsplit(ab):
         return (ab[0], field.mul(ab[1], nonsquare), ab[1], ab[0])

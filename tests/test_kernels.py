@@ -183,6 +183,13 @@ class TestBernoulliKernel:
     def test_matches_word_slot_newton_route(self, p):
         assert np.array_equal(kernels.bernoulli_table_mod(p), _newton_table_oracle(p))
 
+    def test_primitive_root_is_the_least(self):
+        # the primes of p-1 come from arith.factorize
+        for p in arith.primes_in_range(3, 3000):
+            g = kernels._primitive_root(p, arith.factorize(p - 1))
+            assert arith.multiplicative_order(g, p) == p - 1
+            assert all(arith.multiplicative_order(h, p) < p - 1 for h in range(2, g))
+
     def test_domain_guards(self):
         with pytest.raises(ValueError):
             kernels.bernoulli_table_mod(3)
@@ -248,7 +255,7 @@ def _levels(field, codes):
 
 
 def _list(field, levels):
-    return kernels.closure_codes(levels, field.p, field.r, field.nonresidue or 0, field.inv)
+    return kernels.closure_codes(levels, field)
 
 
 def _tuples(rows):

@@ -194,8 +194,10 @@ class TestScan:
         base = witness.scan("borel", 2, 12)
         assert witness.scan("borel", 2, 12, jobs=32) == base
 
-    @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1)])
-    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """An in-process stand-in for the process pool; returns the list of
+        worker counts it was asked for."""
         seen = []
 
         class SerialPool:
@@ -213,10 +215,32 @@ class TestScan:
 
         # scan imports the pool from concurrent.futures only when jobs > 1
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return seen
+
+    @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1)])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, serial_pool, cpus, workers):
         monkeypatch.setattr(witness.os, "cpu_count", lambda: cpus)
         base = witness.scan("eta", 7, 4000)
         assert witness.scan("eta", 7, 4000, jobs=100_000) == base
-        assert seen == [workers]
+        assert serial_pool == [workers]
+
+    def test_chunk_count_is_capped_by_the_range(self, monkeypatch, serial_pool):
+        # ten million jobs over 94 integers make at most 94 chunks, so the
+        # chunk bounds cost the range, not the job count
+        nums = []
+        linspace = witness.np.linspace
+
+        def recorded(start, stop, num, **kwargs):
+            nums.append(num)
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(witness.np, "linspace", recorded)
+        base = witness.scan("lr", 7, 100)
+        assert witness.scan("lr", 7, 100, jobs=10**7) == base
+        assert witness.scan("lr", 7, 7, jobs=10**7) == witness.scan("lr", 7, 7)
+        # one pool for the 94-integer range; the one-integer range runs serially
+        assert nums == [100 - 7 + 2]
+        assert len(serial_pool) == 1
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         code = "import sys, galim.cli; print('concurrent.futures' in sys.modules)"
