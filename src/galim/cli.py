@@ -21,10 +21,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__, arith, dickson, dims, inertia, quadforms, witness
 from .cyclotomic import CycloValue
@@ -48,13 +47,7 @@ class _Misplaced(argparse.Action):
 
 def serialize(obj):
     """Recursively convert report objects into JSON-ready structures."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, float):
-        return obj
-    if obj is None or isinstance(obj, str):
+    if obj is None or isinstance(obj, (int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -66,7 +59,7 @@ def serialize(obj):
         return {str(k): serialize(v) for k, v in obj.items()}
     if isinstance(obj, (frozenset, set)):
         return sorted(serialize(v) for v in obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [serialize(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -196,6 +189,19 @@ def _cmd_inertia_eta(args) -> ReportEnvelope:
 
 
 def _cmd_bounds(args) -> ReportEnvelope:
+    # 5 * 3^(4d), the largest bound, must print within the interpreter's
+    # limit on int-to-str digits (0: no limit); checked before computing it
+    digits = sys.get_int_max_str_digits()
+    if digits:
+        top = 10**digits
+        d_max = int(digits / math.log10(81))
+        while 5 * 81**d_max >= top:
+            d_max -= 1
+        if args.d > d_max:
+            raise ValueError(
+                f"-d {args.d} gives bounds of more than {digits} digits; "
+                f"the largest d that prints is {d_max}"
+            )
     b = inertia.semistable_index_bound(args.d)
     prime_bound = inertia.exceptional_prime_bound(args.d)
     item = {

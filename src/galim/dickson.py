@@ -255,7 +255,7 @@ def _elements(field: GFq, transversals: list[dict[int, Mat2]]) -> frozenset[Mat2
         raise InternalInconsistencyError(
             f"transversal products give {len(rows)} distinct elements, not the order {n}"
         )
-    return frozenset(Mat2(field, *row) for row in rows.tolist())
+    return frozenset(Mat2(field, *row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

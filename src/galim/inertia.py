@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .arith import InternalInconsistencyError, is_prime, totient
 from .kernels import _eta_exponents, eta_scan
 
@@ -188,8 +186,7 @@ def eta_gcd_check(p: int) -> list[int]:
     """
     if p < 7 or not is_prime(p):
         raise ValueError(f"need a prime p >= 7, got {p}")
-    pairs = eta_scan(np.array([p], dtype=np.int64))
-    return [int(j) for _, j in pairs]
+    return [j for _, j in eta_scan([p])]
 
 
 def eta_candidates(p: int) -> list[int]:

@@ -1,20 +1,23 @@
-"""Hot numeric loops, one numpy implementation each.
+"""Hot numeric loops, one numpy implementation each, and the gcd check.
 
-Three loops carry the toolkit's array work: the mod-p Bernoulli table, the
-listing of a projective group over PGL2(Fq), and the tame-order gcd check
-across a prime range.  The Bernoulli table comes from Newton inversion of a
-power series with Kronecker-substitution products in slots of as few bytes
-as the coefficients need; its factorials and series coefficients are index
-lookups into the powers of a primitive root, with no loop of length p in
-Python.  The O(p^2) convolution, and the Newton route with Python-loop
-factorials and 64-bit slots, are kept in the tests as its oracles.  The
-listing multiplies out the Schreier-Sims transversals of ``dickson`` (every
-element is exactly one product of one transversal element per level) with
-the field arithmetic of ``dickson.GFq``, applied to whole arrays, and lists
-only groups whose order those transversals have already shown to be small;
-a breadth-first closure stays in the tests as its oracle.  The gcd
-check tests only the O(1) closed-form exponents per prime; the full j-scan
-it replaces is kept in the tests as its oracle.
+Two loops carry the toolkit's array work: the mod-p Bernoulli table and the
+listing of a projective group over PGL2(Fq).  The Bernoulli table comes from
+Newton inversion of a power series with Kronecker-substitution products in
+slots of as few bytes as the coefficients need; its factorials and series
+coefficients are index lookups into the powers of a primitive root, with no
+loop of length p in Python.  The O(p^2) convolution, and the Newton route
+with Python-loop factorials and 64-bit slots, are kept in the tests as its
+oracles.  The listing multiplies out the Schreier-Sims transversals of
+``dickson`` (every element is exactly one product of one transversal element
+per level) with the field arithmetic of ``dickson.GFq``, applied to whole
+arrays, and lists only groups whose order those transversals have already
+shown to be small; a breadth-first closure stays in the tests as its oracle.
+
+The tame-order gcd check lives here too, on plain Python ints: it tests only
+the O(1) closed-form exponents per prime, and the full j-scan it replaces is
+kept in the tests as its oracle.  Numpy stays inside this module, ``arith``
+and ``quadforms``: of the public functions here only ``bernoulli_table_mod``
+returns an array, and only ``arith`` reads it.
 """
 
 from __future__ import annotations
@@ -182,15 +185,13 @@ def _eta_exponents(p: int) -> list[int]:
     return sorted(out)
 
 
-def eta_scan(primes) -> np.ndarray:
-    """Rows (p, j), j in [1, p-2], where the projective tame order is <= 5,
+def eta_scan(primes: list[int]) -> list[tuple[int, int]]:
+    """Pairs (p, j), j in [1, p-2], where the projective tame order is <= 5,
     j+1 is not the excluded midpoint (p+1)/2, and yet gcd(j, p-1) > 3.
     Expected empty."""
-    arr = np.asarray(primes, dtype=np.int64)
-    if arr.size and int(arr.min()) < 7:
+    if primes and min(primes) < 7:
         raise ValueError("eta scan needs primes >= 7")
-    hits = [(p, j) for p in arr.tolist() for j in _eta_exponents(p) if gcd(j, p - 1) > 3]
-    return np.array(hits, dtype=np.int64).reshape(len(hits), 2)
+    return [(p, j) for p in primes for j in _eta_exponents(p) if gcd(j, p - 1) > 3]
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +199,9 @@ def eta_scan(primes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def closure_codes(levels, field) -> np.ndarray:
+def closure_codes(levels, field) -> list[list[int]]:
     """Distinct scalar-normalized products u_0 u_1 ... u_k, one factor from
-    each level, as sorted rows (a, b, c, d) of field codes.
+    each level, as sorted rows [a, b, c, d] of field codes.
 
     Each level is a sequence of matrix rows (a, b, c, d) over ``field``, a
     ``dickson.GFq``: its ``add`` and ``mul`` run on whole int64 arrays, and
@@ -229,4 +230,4 @@ def closure_codes(levels, field) -> np.ndarray:
     lead = acc[np.arange(len(acc)), (acc != 0).argmax(axis=1)]
     values, where = np.unique(lead, return_inverse=True)
     inverses = np.array([field.inv(v) for v in values.tolist()], dtype=np.int64)
-    return np.unique(mul(acc, inverses[where][:, None]), axis=0)
+    return np.unique(mul(acc, inverses[where][:, None]), axis=0).tolist()

@@ -203,10 +203,6 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     return QuadForm(*_compose(_abc(f1), _abc(f2)))
 
 
-def form_square(f: QuadForm) -> QuadForm:
-    return QuadForm(*_square(*_abc(f)))
-
-
 def _compose(f1: _Form, f2: _Form) -> _Form:
     if f1 == f2:
         return _square(*f1)
@@ -629,23 +625,3 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
             vec[t] = c
         coeffs.append(CycloValue(m, vec))
     return QExpansion(d, char.exponents, m, tuple(coeffs))
-
-
-def representation_counts(form: QuadForm, bound: int) -> np.ndarray:
-    """r_Q(n) for 0 <= n <= bound: the number of (x, y) in Z^2 with
-    Q(x, y) = n, origin excluded, counted with multiplicity."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    a, b, c = form.a, form.b, form.c
-    absd = 4 * a * c - b * b
-    if absd <= 0 or a <= 0:
-        raise ValueError(f"not positive definite: {form}")
-    ymax = isqrt(4 * a * bound // absd)
-    xmax = isqrt(4 * c * bound // absd)
-    xs = np.arange(-xmax, xmax + 1, dtype=np.int64)
-    ys = np.arange(-ymax, ymax + 1, dtype=np.int64)
-    xx = xs[:, None]
-    yy = ys[None, :]
-    vals = a * xx * xx + b * xx * yy + c * yy * yy
-    mask = (vals >= 1) & (vals <= bound)
-    return np.bincount(vals[mask], minlength=bound + 1)

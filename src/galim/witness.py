@@ -10,9 +10,10 @@ Three witness families, one per construction route:
     with the nebentypus exponent (p-3)/2 and both dimension bounds.
 
 ``scan`` runs any of them (plus the gcd check and the class-number growth
-ratio) over a prime range, optionally fanning out to worker processes.
-Workers get contiguous subranges and results are merged in range order, so
-the output is byte-identical for every job count.
+ratio) over a prime range in one per-prime loop on Python ints, optionally
+fanning out to worker processes.  Workers get contiguous subranges, cut at
+exact integer bounds, and results are merged in range order, so the output
+is byte-identical for every job count.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import gcd, log
-
-import numpy as np
 
 from . import arith, dims, quadforms
 from .cyclotomic import CycloValue
@@ -156,23 +155,13 @@ def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int]]:
     def skip(reason: str) -> None:
         skipped[reason] = skipped.get(reason, 0) + 1
 
-    primes = arith.primes_in_range(lo, hi)
-    if kind == "eta":
-        admissible = np.array([p for p in primes if p >= 7], dtype=np.int64)
-        skipped_n = len(primes) - len(admissible)
-        if skipped_n:
-            skipped["below_domain"] = skipped_n
-        if len(admissible):
-            for p, j in eta_scan(admissible):
-                items.append({"p": int(p), "j": int(j)})
-        skipped["scanned"] = len(admissible)
-        return items, skipped
-
-    for p in primes:
+    for p in arith.primes_in_range(lo, hi):
         if p < 7:
             skip("below_domain")
             continue
-        if kind == "borel":
+        if kind == "eta":
+            items.extend({"p": p, "j": j} for _, j in eta_scan([p]))
+        elif kind == "borel":
             try:
                 w = borel_witness(p)
             except RegularPrimeError:
@@ -217,18 +206,14 @@ def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
     if jobs == 1:
         chunks = [_scan_chunk(kind, lo, hi)]
     else:
-        bounds = np.linspace(lo, hi + 1, jobs + 1).astype(int)
-        spans = [
-            (int(bounds[i]), int(bounds[i + 1]) - 1)
-            for i in range(jobs)
-            if bounds[i] <= bounds[i + 1] - 1
-        ]
-        workers = min(len(spans), os.cpu_count() or 1)
+        # jobs <= hi - lo + 1, so every chunk holds at least one integer
+        bounds = [lo + (hi + 1 - lo) * i // jobs for i in range(jobs + 1)]
+        workers = min(jobs, os.cpu_count() or 1)
         # imported here so that serial runs never load the process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk, [kind] * len(spans), *zip(*spans)))
+            chunks = list(pool.map(_scan_chunk, [kind] * jobs, bounds[:-1], [b - 1 for b in bounds[1:]]))
 
     items: list = []
     skipped: dict[str, int] = {}
@@ -250,7 +235,7 @@ def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
             aggregates["max_class_number"] = max(w.h for w in items)
     elif kind == "eta":
         aggregates["counterexamples"] = len(items)
-        aggregates["scanned"] = skipped.pop("scanned", 0)
+        aggregates["scanned"] = len(arith.primes_in_range(max(lo, 7), hi))
     elif kind == "brauer_siegel":
         if items:
             aggregates["ratio_min"] = min(r["ratio"] for r in items)

@@ -10,7 +10,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -63,8 +62,8 @@ def invoke_json(argv, capsys):
 class TestSerialize:
     def test_scalars(self):
         assert cli.serialize(True) is True
-        assert cli.serialize(np.int64(5)) == 5
-        assert type(cli.serialize(np.int64(5))) is int
+        assert cli.serialize(5) == 5
+        assert type(cli.serialize(5)) is int
         assert cli.serialize(2.5) == 2.5
         assert cli.serialize(None) is None
         assert cli.serialize("x") == "x"
@@ -80,7 +79,7 @@ class TestSerialize:
         assert cli.serialize(QuadForm(2, -1, 3)) == {"a": 2, "b": -1, "c": 3}
         assert cli.serialize(frozenset({3, 1, 2})) == [1, 2, 3]
         assert cli.serialize((1, (2, 3))) == [1, [2, 3]]
-        assert cli.serialize(np.arange(3)) == [0, 1, 2]
+        assert cli.serialize([0, 1, 2]) == [0, 1, 2]
         assert cli.serialize({"k": Fraction(1, 2)}) == {"k": "1/2"}
 
     def test_rejects_unknown_types(self):
@@ -196,6 +195,32 @@ class TestExitCodes:
         flag = given[0].split("=")[0]
         assert err == f"usage error: {flag} goes after the last command word\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestBoundsDigitLimit:
+    """5 * 3^(4d) first has more than 4300 digits, the interpreter's default
+    limit on int-to-str conversion, at d = 2253."""
+
+    @pytest.fixture(autouse=True)
+    def digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    def test_largest_d_that_prints(self, capsys):
+        payload = invoke_json(["bounds", "exceptional", "-d", "2252"], capsys)
+        assert payload["items"][0]["exceptional_prime_bound"] == 5 * 3 ** (4 * 2252)
+
+    def test_next_d_is_a_usage_error_naming_it(self, capsys):
+        rc, out, err = invoke(["bounds", "exceptional", "-d", "2253"], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("usage error:") and err.rstrip().endswith(" 2252")
+
+    def test_no_refusal_without_a_limit(self, capsys):
+        sys.set_int_max_str_digits(0)
+        rc, out, _ = invoke(["bounds", "exceptional", "-d", "2253"], capsys)
+        assert rc == 0 and str(5 * 3 ** (4 * 2253)) in out
 
 
 class TestJsonRoundTrip:

@@ -210,7 +210,7 @@ class TestBernoulliKernel:
 def _eta_scan_oracle(primes):
     """Every j in [1, p-2] tested against the defining conditions."""
     hits = []
-    for p in primes.tolist():
+    for p in primes:
         j = np.arange(1, p - 1, dtype=np.int64)
         g = np.gcd(j + 1, p + 1)
         mask = ((p + 1) // g <= 5) & (j + 1 != (p + 1) // 2)
@@ -219,18 +219,18 @@ def _eta_scan_oracle(primes):
             bad = jj[np.gcd(jj, p - 1) > 3]
             for b in bad.tolist():
                 hits.append((p, b))
-    return np.array(hits, dtype=np.int64).reshape(len(hits), 2)
+    return hits
 
 
 class TestEtaKernel:
     def test_matches_full_scan_on_primes(self):
-        primes = np.array(arith.primes_in_range(7, 3000), dtype=np.int64)
-        assert np.array_equal(kernels.eta_scan(primes), _eta_scan_oracle(primes))
+        primes = arith.primes_in_range(7, 3000)
+        assert kernels.eta_scan(primes) == _eta_scan_oracle(primes)
 
     def test_empty_on_small_primes(self):
-        primes = np.array(arith.primes_in_range(7, 500), dtype=np.int64)
+        primes = arith.primes_in_range(7, 500)
         hits = kernels.eta_scan(primes)
-        assert hits.shape == (0, 2)
+        assert hits == []
 
     def test_empty_even_for_composite_inputs(self):
         # p = n(j+1) - 1 with n in {3,4,5} forces gcd(j, p-1) = gcd(j, n-2)
@@ -238,14 +238,14 @@ class TestEtaKernel:
         # midpoint, so emptiness holds for every odd p of this shape, prime
         # or not; a composite-rich range has more divisors of p+1 than
         # primes do, so it is also checked against the full scan
-        fake = np.arange(9, 600, 2, dtype=np.int64)
+        fake = list(range(9, 600, 2))
         hits = kernels.eta_scan(fake)
-        assert hits.shape == (0, 2)
-        assert np.array_equal(hits, _eta_scan_oracle(fake))
+        assert hits == []
+        assert hits == _eta_scan_oracle(fake)
 
     def test_rejects_small_primes(self):
         with pytest.raises(ValueError):
-            kernels.eta_scan(np.array([5, 7], dtype=np.int64))
+            kernels.eta_scan([5, 7])
 
 
 def _levels(field, codes):
@@ -259,7 +259,7 @@ def _list(field, levels):
 
 
 def _tuples(rows):
-    return [tuple(row) for row in rows.tolist()]
+    return [tuple(row) for row in rows]
 
 
 def _python_products(field, levels):
@@ -278,14 +278,15 @@ class TestClosureKernel:
         levels = _levels(field, [(0, 1, 6, 0), (1, 1, 0, 1)])
         assert np.prod([len(level) for level in levels]) == 168
         rows = _list(field, levels)
-        assert rows.dtype == np.int64 and rows.shape == (168, 4)
+        assert len(rows) == 168
+        assert all(len(row) == 4 and all(type(x) is int for x in row) for row in rows)
         # sorted and distinct, as the Python products are
         assert _tuples(rows) == _python_products(field, levels)
 
     def test_identity_only(self):
         field = dickson.GFq(11)
         got = _list(field, [[(1, 0, 0, 1)]] * 3)
-        assert got.tolist() == [[1, 0, 0, 1]]
+        assert got == [[1, 0, 0, 1]]
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_exact_at_the_largest_prime_below_the_limit(self, r):

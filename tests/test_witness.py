@@ -6,6 +6,7 @@ import math
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -196,13 +197,14 @@ class TestScan:
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
-        """An in-process stand-in for the process pool; returns the list of
-        worker counts it was asked for."""
-        seen = []
+        """An in-process stand-in for the process pool; records the worker
+        count of each pool in ``workers`` and the (lo, hi) spans of each
+        ``map`` in ``spans``."""
+        seen = SimpleNamespace(workers=[], spans=[])
 
         class SerialPool:
             def __init__(self, max_workers):
-                seen.append(max_workers)
+                seen.workers.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -210,8 +212,9 @@ class TestScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, kinds, los, his):
+                seen.spans.append(list(zip(los, his)))
+                return map(fn, kinds, los, his)
 
         # scan imports the pool from concurrent.futures only when jobs > 1
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -222,25 +225,24 @@ class TestScan:
         monkeypatch.setattr(witness.os, "cpu_count", lambda: cpus)
         base = witness.scan("eta", 7, 4000)
         assert witness.scan("eta", 7, 4000, jobs=100_000) == base
-        assert serial_pool == [workers]
+        assert serial_pool.workers == [workers]
 
-    def test_chunk_count_is_capped_by_the_range(self, monkeypatch, serial_pool):
-        # ten million jobs over 94 integers make at most 94 chunks, so the
-        # chunk bounds cost the range, not the job count
-        nums = []
-        linspace = witness.np.linspace
-
-        def recorded(start, stop, num, **kwargs):
-            nums.append(num)
-            return linspace(start, stop, num, **kwargs)
-
-        monkeypatch.setattr(witness.np, "linspace", recorded)
+    def test_chunk_count_is_capped_by_the_range(self, serial_pool):
+        # ten million jobs over the 94 integers of [7, 100] make 94 chunks,
+        # so the chunk bounds cost the range, not the job count; the chunks
+        # come in order and tile the range with no gap, overlap or empty span
         base = witness.scan("lr", 7, 100)
-        assert witness.scan("lr", 7, 100, jobs=10**7) == base
+        for jobs in (2, 7, 94, 10**7):
+            assert witness.scan("lr", 7, 100, jobs=jobs) == base
+            spans = serial_pool.spans.pop()
+            assert len(spans) == min(jobs, 94)
+            assert spans[0][0] == 7 and spans[-1][1] == 100
+            assert all(lo <= hi for lo, hi in spans)
+            assert all(prev[1] + 1 == nxt[0] for prev, nxt in zip(spans, spans[1:]))
         assert witness.scan("lr", 7, 7, jobs=10**7) == witness.scan("lr", 7, 7)
-        # one pool for the 94-integer range; the one-integer range runs serially
-        assert nums == [100 - 7 + 2]
-        assert len(serial_pool) == 1
+        # one pool per multi-chunk scan; the one-integer range runs serially
+        assert serial_pool.spans == []
+        assert len(serial_pool.workers) == 4
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         code = "import sys, galim.cli; print('concurrent.futures' in sys.modules)"
