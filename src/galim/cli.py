@@ -11,7 +11,8 @@ after its last word (``galim witness borel -p 37 --format json``); placed
 before it they are a usage error.  ``dickson classify`` takes the group order
 from Schreier-Sims and lists the elements only of groups of at most 60
 elements, so it has no size limit to set; its one listing limit is p^2 < 2^63,
-and it binds only those small groups.
+and it binds only those small groups.  The argument parser is built on the
+first ``main`` call and reused by every later call in the process.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -45,8 +47,24 @@ class _Misplaced(argparse.Action):
         raise _UsageError(f"{option_string} goes after the last command word")
 
 
+# exact types that serialize returns as they are
+_SCALARS = frozenset((type(None), bool, int, float, str))
+# dataclass -> its field names, in declaration order
+_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
 def serialize(obj):
     """Recursively convert report objects into JSON-ready structures."""
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    if cls is list or cls is tuple:
+        return [serialize(v) for v in obj]
+    if cls is dict:
+        return {str(k): serialize(v) for k, v in obj.items()}
+    names = _FIELDS.get(cls)
+    if names is not None:
+        return {name: serialize(getattr(obj, name)) for name in names}
     if obj is None or isinstance(obj, (int, float, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -54,7 +72,10 @@ def serialize(obj):
     if isinstance(obj, CycloValue):
         return {"order": obj.m, "coeffs": list(obj.canonical())}
     if dataclasses.is_dataclass(obj):
-        return {f.name: serialize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        names = tuple(f.name for f in dataclasses.fields(obj))
+        if not isinstance(obj, type):
+            _FIELDS[cls] = names
+        return {name: serialize(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {str(k): serialize(v) for k, v in obj.items()}
     if isinstance(obj, (frozenset, set)):
@@ -345,7 +366,13 @@ def _render(env: ReportEnvelope, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    # Built once per process, on the first main call, and reused by every
+    # later call: parse_args returns a fresh namespace each time, and the
+    # _cmd_* handlers are bound here, at that first call.  A test that needs
+    # a freshly built parser calls _build_parser.__wrapped__().
+    #
     # --format and --out go on leaf commands only: argparse would overwrite a
     # group parser's copy with the leaf's default, so the top and group
     # parsers carry a copy that only refuses them by name

@@ -194,7 +194,8 @@ def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
 
     jobs > 1 splits the range into that many contiguous chunks, at most one
     per integer of the range, handled by at most os.cpu_count() worker
-    processes; aggregation happens after the in-order merge, so the report
+    processes and sent to them in at most one batch of consecutive chunks
+    per worker; aggregation happens after the in-order merge, so the report
     never depends on the job count.
     """
     if kind not in SCAN_KINDS:
@@ -212,8 +213,12 @@ def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
         # imported here so that serial runs never load the process pool
         from concurrent.futures import ProcessPoolExecutor
 
+        # one batch of consecutive chunks per worker, not one task per chunk:
+        # ten million jobs would otherwise cost a round trip per integer
+        batch = -(-jobs // workers)
+        ends = [b - 1 for b in bounds[1:]]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk, [kind] * jobs, bounds[:-1], [b - 1 for b in bounds[1:]]))
+            chunks = list(pool.map(_scan_chunk, [kind] * jobs, bounds[:-1], ends, chunksize=batch))
 
     items: list = []
     skipped: dict[str, int] = {}

@@ -1,8 +1,12 @@
 """Brute-force routes shared by several test modules."""
 
+import dataclasses
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
+
+from galim.cyclotomic import CycloValue
 
 
 def representation_counts(form, bound: int) -> np.ndarray:
@@ -24,3 +28,23 @@ def representation_counts(form, bound: int) -> np.ndarray:
     vals = a * xx * xx + b * xx * yy + c * yy * yy
     mask = (vals >= 1) & (vals <= bound)
     return np.bincount(vals[mask], minlength=bound + 1)
+
+
+def serialize(obj):
+    """``cli.serialize`` as one isinstance chain, with no exact-type dispatch
+    and no field-name table: the oracle of the CLI's fast path."""
+    if obj is None or isinstance(obj, (int, float, str)):
+        return obj
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, CycloValue):
+        return {"order": obj.m, "coeffs": list(obj.canonical())}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: serialize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): serialize(v) for k, v in obj.items()}
+    if isinstance(obj, (frozenset, set)):
+        return sorted(serialize(v) for v in obj)
+    if isinstance(obj, (list, tuple)):
+        return [serialize(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

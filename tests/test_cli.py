@@ -4,7 +4,10 @@ Most checks drive cli.main() in process and capture stdout; a single
 console-script test confirms the installed entry point end to end.
 """
 
+import argparse
+import dataclasses
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -18,6 +21,7 @@ import galim
 from galim import cli
 from galim.cyclotomic import CycloValue
 from galim.quadforms import QuadForm
+from oracles import serialize as serialize_oracle
 
 
 # one command line per leaf command, each of which takes --format and --out
@@ -59,6 +63,46 @@ def invoke_json(argv, capsys):
     return json.loads(out)
 
 
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    n: int
+    q: Fraction
+    z: CycloValue
+
+
+@dataclasses.dataclass
+class Node:
+    # fields out of alphabetical order: serialize keeps declaration order
+    zeta: object
+    alpha: object
+
+
+report_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.fractions()
+    | st.builds(CycloValue.zeta, st.integers(1, 12), st.integers(-30, 30))
+    | st.builds(QuadForm, st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9))
+    # bool next to int, so sorting mixes them
+    | st.frozensets(st.integers(-5, 5) | st.booleans(), max_size=5)
+    | st.frozensets(st.fractions(max_denominator=9), max_size=5)
+)
+report_objects = st.recursive(
+    report_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3) | st.integers() | st.booleans(), inner, max_size=4)
+        | st.builds(Leaf, st.integers(), st.fractions(), st.builds(CycloValue.zeta, st.integers(1, 6)))
+        | st.builds(Node, inner, inner)
+    ),
+    max_leaves=20,
+)
+
+
 class TestSerialize:
     def test_scalars(self):
         assert cli.serialize(True) is True
@@ -85,6 +129,13 @@ class TestSerialize:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             cli.serialize(object())
+
+    @given(report_objects)
+    @example([True, 1, False, 0, 1.0, frozenset({True, 2, 0}), {1: True, "1": 1}])
+    @example(Node(Leaf(-1, Fraction(3, 6), CycloValue.zeta(4, 5)), (Leaf(0, Fraction(0), CycloValue(1)),)))
+    def test_matches_the_isinstance_chain(self, obj):
+        # repr tells True from 1 and 1.0, and dict order from its reverse
+        assert repr(cli.serialize(obj)) == repr(serialize_oracle(obj))
 
 
 class TestWorkedExamples:
@@ -401,6 +452,71 @@ class TestOutputFile:
                 rc, out, err = invoke(argv + ["--format", fmt, "--out", str(target)], capsys)
                 assert rc == 0 and out == "" and err == ""
                 assert target.read_text(encoding="utf-8") == direct
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it after."""
+
+    EXTRA_ARGV = [
+        ["dickson", "classify", "--field", "7", "--gen", "2,0,0,1", "--gen", "0,1,1,0"],
+        ["dickson", "classify", "--field", "7", "--gen", "2,0,0,1", "--gen", "0,1,1,0"],
+        ["dims", "--x0", "389"],
+        ["dims", "--new", "389"],
+        ["classgroup", "-p", "23", "--format", "json"],
+        ["classgroup", "-p", "23"],
+        ["witness", "borel", "-p", "37", "--out", "report.txt"],
+        ["witness", "--format", "json", "borel", "-p", "37"],  # misplaced: exit 1
+        ["theta", "--coeffs", "5"],                             # missing -p: exit 1
+    ]
+
+    @staticmethod
+    def run(argv, capsys, tmp_path):
+        rc, out, err = invoke(list(argv), capsys)
+        written = tmp_path / "report.txt"
+        text = written.read_text(encoding="utf-8") if written.exists() else None
+        written.unlink(missing_ok=True)
+        return rc, out, err, text
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reuse_leaks_no_state_between_calls(self, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        calls = LEAF_ARGV + self.EXTRA_ARGV
+        random.Random(seed).shuffle(calls)
+        reused = [self.run(argv, capsys, tmp_path) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [self.run(argv, capsys, tmp_path) for argv in calls]
+        for argv, got, want in zip(calls, reused, fresh):
+            assert got == want, argv
+        # the mix did exercise both exit codes and the output file
+        assert {result[0] for result in fresh} == {0, 1}
+        assert any(result[3] for result in fresh)
+
+    def test_parser_is_built_at_most_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        invoke(LEAF_ARGV[0], capsys)
+        first = len(built)
+        # 19 more calls, the last a usage error, build nothing
+        for i in range(1, 19):
+            invoke(LEAF_ARGV[i % len(LEAF_ARGV)], capsys)
+        invoke(["witness", "borel"], capsys)
+        assert first > 0
+        assert len(built) == first
+        assert cli._build_parser.cache_info().currsize == 1
+
+    def test_import_builds_no_parser(self):
+        code = "import galim.cli; print(galim.cli._build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestConsoleScript:

@@ -198,9 +198,9 @@ class TestScan:
     @pytest.fixture
     def serial_pool(self, monkeypatch):
         """An in-process stand-in for the process pool; records the worker
-        count of each pool in ``workers`` and the (lo, hi) spans of each
-        ``map`` in ``spans``."""
-        seen = SimpleNamespace(workers=[], spans=[])
+        count of each pool in ``workers``, and the (lo, hi) spans and the
+        chunksize of each ``map`` in ``spans`` and ``chunksizes``."""
+        seen = SimpleNamespace(workers=[], spans=[], chunksizes=[])
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -212,8 +212,9 @@ class TestScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, kinds, los, his):
+            def map(self, fn, kinds, los, his, chunksize=1):
                 seen.spans.append(list(zip(los, his)))
+                seen.chunksizes.append(chunksize)
                 return map(fn, kinds, los, his)
 
         # scan imports the pool from concurrent.futures only when jobs > 1
@@ -243,6 +244,21 @@ class TestScan:
         # one pool per multi-chunk scan; the one-integer range runs serially
         assert serial_pool.spans == []
         assert len(serial_pool.workers) == 4
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_chunks_go_in_at_most_one_batch_per_worker(self, monkeypatch, serial_pool, cpus):
+        # ten million jobs over a 94-integer range make 94 one-integer chunks,
+        # which must reach the pool in at most one round trip per worker
+        monkeypatch.setattr(witness.os, "cpu_count", lambda: cpus)
+        for jobs in (2, 3, 7, 94, 10**7):
+            witness.scan("lr", 7, 100, jobs=jobs)
+            workers = serial_pool.workers.pop()
+            chunks = len(serial_pool.spans.pop())
+            chunksize = serial_pool.chunksizes.pop()
+            assert workers == min(jobs, cpus)
+            assert -(-chunks // chunksize) <= workers
+            # the batches are as even as the chunk count allows
+            assert chunksize == -(-chunks // workers)
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         code = "import sys, galim.cli; print('concurrent.futures' in sys.modules)"
