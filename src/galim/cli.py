@@ -10,8 +10,8 @@ errors.  ``--format`` and ``--out`` belong to the leaf command, so they go
 after its last word (``galim witness borel -p 37 --format json``); placed
 before it they are a usage error.  ``dickson classify`` takes the group order
 from Schreier-Sims and lists the elements only of groups of at most 60
-elements, so it has no size limit to set; its one listing limit is p^2 < 2^63,
-and it binds only those small groups.  The argument parser is built on the
+elements, so it has no size limit to set; its one field limit is p < 2^62,
+where primality testing is deterministic.  The argument parser is built on the
 first ``main`` call and reused by every later call in the process.
 """
 
@@ -54,7 +54,12 @@ _FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def serialize(obj):
-    """Recursively convert report objects into JSON-ready structures."""
+    """Recursively convert report objects into JSON-ready structures.
+
+    Scalars, lists, tuples and dicts pass only as their exact built-in
+    types, so a subclass of them, such as numpy's float64 or str_, is
+    refused with a TypeError like any other unknown value.
+    """
     cls = type(obj)
     if cls in _SCALARS:
         return obj
@@ -65,8 +70,6 @@ def serialize(obj):
     names = _FIELDS.get(cls)
     if names is not None:
         return {name: serialize(getattr(obj, name)) for name in names}
-    if obj is None or isinstance(obj, (int, float, str)):
-        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, CycloValue):
@@ -76,12 +79,8 @@ def serialize(obj):
         if not isinstance(obj, type):
             _FIELDS[cls] = names
         return {name: serialize(getattr(obj, name)) for name in names}
-    if isinstance(obj, dict):
-        return {str(k): serialize(v) for k, v in obj.items()}
     if isinstance(obj, (frozenset, set)):
         return sorted(serialize(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
-        return [serialize(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -5,10 +5,9 @@ q = p or p^2 with p an odd prime.  Schreier-Sims on the q+1 points of
 P^1(F_q) builds one transversal per base point; the base's pointwise
 stabilizer is trivial, so the order (``group_order``) is the product of the
 transversal lengths, and every element is exactly one product of one
-transversal element per level.  ``closure`` lists those products
-(scalar-normalized matrices, first nonzero entry 1) for groups of at most
-MAX_CLOSURE_ORDER elements.  ``classify`` builds the transversals once,
-lists the elements only of groups of at most 60 elements, for their order
+transversal element per level.  ``classify`` builds the transversals once,
+lists the elements (those products as scalar-normalized matrices, first
+nonzero entry 1) only of groups of at most 60 elements, for their order
 statistics, reads the Cartan-normalizer candidates from the fixed lines of
 the generators and their pairwise products, and walks a decision cascade:
 
@@ -41,10 +40,6 @@ from itertools import combinations
 from math import prod
 
 from .arith import InternalInconsistencyError, is_prime, kronecker, sqrt_mod
-from .kernels import closure_codes
-
-# closure() lists every element, so it refuses larger groups
-MAX_CLOSURE_ORDER = 200_000
 
 
 class GFq:
@@ -53,9 +48,7 @@ class GFq:
     Elements are integer codes: a0 for r = 1, a0 + p*a1 for r = 2 meaning
     a0 + a1*x with x^2 = n for the least quadratic nonresidue n mod p.  The
     code order doubles as the deterministic tie-break everywhere.  No
-    operation builds a table of size q.  ``add`` and ``mul`` reduce every
-    product and every summand mod p first, so they are also exact on int64
-    arrays of codes whenever p^2 < 2^63.
+    operation builds a table of size q.
     """
 
     __slots__ = ("p", "r", "q", "nonresidue")
@@ -92,7 +85,7 @@ class GFq:
         if self.r == 1:
             return (a + b) % self.p
         p = self.p
-        return (a % p + b % p) % p + p * ((a // p + b // p) % p)
+        return (a + b) % p + p * ((a // p + b // p) % p)
 
     def neg(self, a: int) -> int:
         if self.r == 1:
@@ -109,8 +102,7 @@ class GFq:
             return a * b % p
         a0, a1 = a % p, a // p
         b0, b1 = b % p, b // p
-        real = a0 * b0 % p + self.nonresidue * (a1 * b1 % p)
-        return real % p + p * ((a0 * b1 % p + a1 * b0 % p) % p)
+        return (a0 * b0 + self.nonresidue * a1 * b1) % p + p * ((a0 * b1 + a1 * b0) % p)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -232,30 +224,18 @@ def _common_field(generators: list[Mat2]) -> GFq:
     return field
 
 
-def closure(generators: list[Mat2]) -> frozenset[Mat2]:
-    """Projective closure as scalar-normalized matrices.
-
-    Raises ValueError, before listing anything, when the group has more than
-    MAX_CLOSURE_ORDER elements or p^2 >= 2^63 (the listing's int64 limit).
-    """
-    field = _common_field(generators)
-    return _elements(field, _transversals(field, generators))
-
-
 def _elements(field: GFq, transversals: list[dict[int, Mat2]]) -> frozenset[Mat2]:
     """Every product u_0 u_1 u_2 of the transversals, scalar-normalized."""
-    n = prod(len(t) for t in transversals)
-    if n > MAX_CLOSURE_ORDER:
-        raise ValueError(
-            f"projective closure has {n} elements, above the listing limit {MAX_CLOSURE_ORDER}"
-        )
-    levels = [[(u.a, u.b, u.c, u.d) for u in t.values()] for t in transversals]
-    rows = closure_codes(levels, field)
-    if len(rows) != n:
+    products = [identity_mat(field)]
+    for t in transversals:
+        products = [x * u for x in products for u in t.values()]
+    elements = frozenset(m.scalar_normalized() for m in products)
+    if len(elements) != len(products):
         raise InternalInconsistencyError(
-            f"transversal products give {len(rows)} distinct elements, not the order {n}"
+            f"transversal products give {len(elements)} distinct elements, "
+            f"not the order {len(products)}"
         )
-    return frozenset(Mat2(field, *row) for row in rows)
+    return elements
 
 
 # ---------------------------------------------------------------------------

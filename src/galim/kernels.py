@@ -1,17 +1,11 @@
-"""Hot numeric loops, one numpy implementation each, and the gcd check.
+"""Hot numeric loops: the mod-p Bernoulli table in numpy, and the gcd check.
 
-Two loops carry the toolkit's array work: the mod-p Bernoulli table and the
-listing of a projective group over PGL2(Fq).  The Bernoulli table comes from
-Newton inversion of a power series with Kronecker-substitution products in
-slots of as few bytes as the coefficients need; its factorials and series
-coefficients are index lookups into the powers of a primitive root, with no
-loop of length p in Python.  The O(p^2) convolution, and the Newton route
-with Python-loop factorials and 64-bit slots, are kept in the tests as its
-oracles.  The listing multiplies out the Schreier-Sims transversals of
-``dickson`` (every element is exactly one product of one transversal element
-per level) with the field arithmetic of ``dickson.GFq``, applied to whole
-arrays, and lists only groups whose order those transversals have already
-shown to be small; a breadth-first closure stays in the tests as its oracle.
+The Bernoulli table comes from Newton inversion of a power series with
+Kronecker-substitution products in slots of as few bytes as the
+coefficients need; its factorials and series coefficients are index lookups
+into the powers of a primitive root, with no loop of length p in Python.
+The O(p^2) convolution, and the Newton route with Python-loop factorials
+and 64-bit slots, are kept in the tests as its oracles.
 
 The tame-order gcd check lives here too, on plain Python ints: it tests only
 the O(1) closed-form exponents per prime, and the full j-scan it replaces is
@@ -192,42 +186,3 @@ def eta_scan(primes: list[int]) -> list[tuple[int, int]]:
     if primes and min(primes) < 7:
         raise ValueError("eta scan needs primes >= 7")
     return [(p, j) for p in primes for j in _eta_exponents(p) if gcd(j, p - 1) > 3]
-
-
-# ---------------------------------------------------------------------------
-# Products of Schreier-Sims transversals over PGL2(Fq)
-# ---------------------------------------------------------------------------
-
-
-def closure_codes(levels, field) -> list[list[int]]:
-    """Distinct scalar-normalized products u_0 u_1 ... u_k, one factor from
-    each level, as sorted rows [a, b, c, d] of field codes.
-
-    Each level is a sequence of matrix rows (a, b, c, d) over ``field``, a
-    ``dickson.GFq``: its ``add`` and ``mul`` run on whole int64 arrays, and
-    its ``inv`` once per distinct lead entry.  The result holds every
-    product, so callers bound its size first (``dickson.closure`` reads it
-    from the Schreier-Sims transversals).
-    """
-    p = field.p
-    if p * p >= 1 << 63:
-        raise ValueError(f"listing group elements needs p^2 < 2^63 for int64 products, got p = {p}")
-    add, mul = field.add, field.mul
-    acc = np.array([[1, 0, 0, 1]], dtype=np.int64)
-    for level in levels:
-        x = acc[:, None, :]
-        y = np.asarray(level, dtype=np.int64).reshape(1, -1, 4)
-        acc = np.stack(
-            [
-                add(mul(x[..., 0], y[..., 0]), mul(x[..., 1], y[..., 2])),
-                add(mul(x[..., 0], y[..., 1]), mul(x[..., 1], y[..., 3])),
-                add(mul(x[..., 2], y[..., 0]), mul(x[..., 3], y[..., 2])),
-                add(mul(x[..., 2], y[..., 1]), mul(x[..., 3], y[..., 3])),
-            ],
-            axis=-1,
-        ).reshape(-1, 4)
-    # the lead entry is the first nonzero one of each row
-    lead = acc[np.arange(len(acc)), (acc != 0).argmax(axis=1)]
-    values, where = np.unique(lead, return_inverse=True)
-    inverses = np.array([field.inv(v) for v in values.tolist()], dtype=np.int64)
-    return np.unique(mul(acc, inverses[where][:, None]), axis=0).tolist()

@@ -35,7 +35,8 @@ from .cyclotomic import CycloValue
 
 # Largest p for which class_number_analytic evaluates its character sum (it
 # holds (p-1)/2 int64 squares plus a mask, about 4.5p bytes, 450 MB at the
-# limit, and a^2 stays far below 2^63) and reduced_forms runs its O(p) loop.
+# limit, and a^2 < 10^16 stays far inside int64) and reduced_forms runs its
+# O(p) loop.
 ANALYTIC_MAX_P = 10**8
 
 

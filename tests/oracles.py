@@ -32,7 +32,10 @@ def representation_counts(form, bound: int) -> np.ndarray:
 
 def serialize(obj):
     """``cli.serialize`` as one isinstance chain, with no exact-type dispatch
-    and no field-name table: the oracle of the CLI's fast path."""
+    and no field-name table: the oracle of the CLI's fast path.  Unlike
+    ``cli.serialize`` it also passes subclasses of the built-in scalars and
+    containers, numpy's float64 and str_ among them, so the two agree only
+    on report objects built from the exact built-in types."""
     if obj is None or isinstance(obj, (int, float, str)):
         return obj
     if isinstance(obj, Fraction):

@@ -328,7 +328,8 @@ class TestJsonWriter:
     )
     def test_reports_match_json_dumps(self, argv, capsys):
         args = cli._build_parser().parse_args(argv + ["--format", "json"])
-        want = json_oracle(cli.serialize(args.handler(args))) + "\n"
+        # both oracles: the isinstance chain and json.dumps
+        want = json_oracle(serialize_oracle(args.handler(args))) + "\n"
         rc, out, err = invoke(argv + ["--format", "json"], capsys)
         assert rc == 0, err
         assert out == want
@@ -434,12 +435,23 @@ class TestDicksonCli:
         assert report["group_order"] == 4
         assert report["canonical_label"] == "dihedral-ambiguous"
 
-    def test_listing_above_the_int64_limit_is_a_usage_error(self, capsys):
-        # 3037000507 is the least prime with p^2 >= 2^63
+    def test_klein_four_with_p_squared_above_2_63(self, capsys):
+        # 3037000507 is the least prime with p^2 >= 2^63: Python-int
+        # products list the group's elements at any p
         argv = ["dickson", "classify", "--field", "3037000507", "--gen", "1,0,0,-1", "--gen", "0,1,1,0"]
         rc, out, err = invoke(argv, capsys)
-        assert rc == 1 and out == ""
-        assert err.startswith("usage error:") and "p^2 < 2^63" in err
+        assert rc == 0, err
+        report = json.loads(out.splitlines()[2])
+        assert report["group_order"] == 4
+        assert report["canonical_label"] == "dihedral-ambiguous"
+
+    def test_field_at_2_62_is_a_usage_error(self, capsys):
+        # primality is deterministic only below 2^62; 2^62 + 135 is prime
+        for p in (1 << 62, (1 << 62) + 135):
+            argv = ["dickson", "classify", "--field", str(p), "--gen", "1,0,0,-1"]
+            rc, out, err = invoke(argv, capsys)
+            assert rc == 1 and out == ""
+            assert err.startswith("usage error:") and "2^62" in err
 
 
 class TestOutputFile:

@@ -28,6 +28,28 @@ def mats(field, *rows):
     return [Mat2(field, *r) for r in rows]
 
 
+def closure(generators):
+    """Every element of the projective image, as the library lists it: the
+    products of the Schreier-Sims transversals, scalar-normalized."""
+    field = dickson._common_field(generators)
+    return dickson._elements(field, dickson._transversals(field, generators))
+
+
+def count_listings(monkeypatch):
+    """Patch ``dickson._elements`` to record the size of every listing; the
+    returned list fills as ``classify`` lists."""
+    listed = []
+    elements = dickson._elements
+
+    def recorded(field, transversals):
+        out = elements(field, transversals)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(dickson, "_elements", recorded)
+    return listed
+
+
 def least_root_table(field):
     """Least-code square root of every square of the field, by squaring all
     q codes in increasing order."""
@@ -249,35 +271,6 @@ class TestGFq:
             assert root == min(b, f.neg(b))
             assert f.sqrt(f.mul(n, f.mul(b, b))) is None
 
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_array_arithmetic_is_exact_at_the_int64_limit(self, r):
-        # 3037000493 is the largest prime with p^2 < 2^63; codes with both
-        # digits near p make every product of two residues come close to 2^63
-        p = 3037000493
-        f = GFq(p, r)
-        rng = random.Random(r)
-        digits = [0, 1, 2, p - 2, p - 1]
-        codes = [x0 + p * x1 for x0 in digits for x1 in (digits if r == 2 else [0])]
-        codes += [rng.randrange(f.q) for _ in range(100)]
-        a = [x for x in codes for _ in codes]
-        b = [y for _ in codes for y in codes]
-        arr_a, arr_b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-        nr = f.nonresidue or 0
-
-        def add(x, y):
-            return (x % p + y % p) % p + p * ((x // p + y // p) % p)
-
-        def mul(x, y):
-            (x1, x0), (y1, y0) = divmod(x, p), divmod(y, p)
-            return (x0 * y0 + nr * x1 * y1) % p + p * ((x0 * y1 + x1 * y0) % p)
-
-        want_add = [add(x, y) for x, y in zip(a, b)]
-        want_mul = [mul(x, y) for x, y in zip(a, b)]
-        assert [f.add(x, y) for x, y in zip(a, b)] == want_add
-        assert [f.mul(x, y) for x, y in zip(a, b)] == want_mul
-        assert f.add(arr_a, arr_b).tolist() == want_add
-        assert f.mul(arr_a, arr_b).tolist() == want_mul
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             GFq(2)
@@ -422,16 +415,15 @@ class TestFixedPairs:
 
 class TestClosure:
     def test_sl2_f7(self):
-        got = dickson.closure(mats(F7, (0, 1, 6, 0), (1, 1, 0, 1)))
-        assert got is not None and len(got) == 168
+        got = closure(mats(F7, (0, 1, 6, 0), (1, 1, 0, 1)))
+        assert len(got) == 168
 
     def test_adding_nonsquare_scalar_determinant_doubles(self):
-        got = dickson.closure(mats(F7, (0, 1, 6, 0), (1, 1, 0, 1), (3, 0, 0, 1)))
-        assert got is not None and len(got) == 336
+        got = closure(mats(F7, (0, 1, 6, 0), (1, 1, 0, 1), (3, 0, 0, 1)))
+        assert len(got) == 336
 
     def test_all_elements_normalized_and_closed(self):
-        got = dickson.closure(mats(F7, (3, 0, 0, 1), (0, 1, 1, 0)))
-        assert got is not None
+        got = closure(mats(F7, (3, 0, 0, 1), (0, 1, 1, 0)))
         assert all(m == m.scalar_normalized() for m in got)
         for x in got:
             for y in got:
@@ -439,11 +431,11 @@ class TestClosure:
 
     def test_rejects_mixed_fields_and_singular(self):
         with pytest.raises(ValueError):
-            dickson.closure([identity_mat(F7), identity_mat(F11)])
+            closure([identity_mat(F7), identity_mat(F11)])
         with pytest.raises(ValueError):
-            dickson.closure(mats(F7, (1, 1, 1, 1)))
+            closure(mats(F7, (1, 1, 1, 1)))
         with pytest.raises(ValueError):
-            dickson.closure([])
+            closure([])
 
 
 # generator tuples -> expected (order, label) over F7 unless stated
@@ -485,16 +477,16 @@ class TestClassifyCascade:
     def test_exceptional_order_statistics(self):
         # independent structure check: A4 has 3 involutions and 8 elements
         # of order 3; S4 adds 6 four-cycles
-        closure = dickson.closure(mats(F7, (0, 1, 3, 2), (0, 1, 5, 0)))
-        stats = Counter(dickson.projective_order(m) for m in closure)
+        elements = closure(mats(F7, (0, 1, 3, 2), (0, 1, 5, 0)))
+        stats = Counter(dickson.projective_order(m) for m in elements)
         assert dict(stats) == {1: 1, 2: 3, 3: 8}
-        closure = dickson.closure(mats(F7, (0, 1, 3, 1), (1, 0, 1, 2)))
-        stats = Counter(dickson.projective_order(m) for m in closure)
+        elements = closure(mats(F7, (0, 1, 3, 1), (1, 0, 1, 2)))
+        stats = Counter(dickson.projective_order(m) for m in elements)
         assert dict(stats) == {1: 1, 2: 9, 3: 8, 4: 6}
 
     def test_dihedral_split_structure(self):
-        closure = dickson.closure(mats(F7, (3, 0, 0, 1), (0, 1, 1, 0)))
-        stats = Counter(dickson.projective_order(m) for m in closure)
+        elements = closure(mats(F7, (3, 0, 0, 1), (0, 1, 1, 0)))
+        stats = Counter(dickson.projective_order(m) for m in elements)
         assert dict(stats) == {1: 1, 2: 7, 3: 2, 6: 2}  # dihedral of order 12
 
     def test_nonsplit_cartan_f7(self):
@@ -579,7 +571,7 @@ def invertible_generators(field, max_count=3):
 def assert_matches_oracle(gens, order=None):
     want = closure_oracle(gens)
     assert dickson.group_order(gens) == len(want)
-    assert dickson.closure(gens) == want
+    assert closure(gens) == want
     if order is not None:
         assert len(want) == order
 
@@ -619,16 +611,11 @@ class TestGroupOrder:
         # unipotents with offsets 1 and x (code 13) generate SL2(F169)
         gens = mats(GFq(13, 2), (1, 1, 0, 1), (1, 0, 13, 1))
         assert dickson.group_order(gens) == 169 * (169 * 169 - 1) // 2 == 2_413_320
+        listings = count_listings(monkeypatch)
         rep = dickson.classify(gens)
         assert rep.group_order == 2_413_320
         assert rep.canonical_label == "large-PSL(169)"
-
-        def no_enumeration(*args):
-            raise AssertionError("closure_codes called")
-
-        monkeypatch.setattr(dickson, "closure_codes", no_enumeration)
-        with pytest.raises(ValueError, match="listing limit"):
-            dickson.closure(gens)
+        assert listings == []
 
     def test_classify_builds_one_chain_and_lists_nothing(self, monkeypatch):
         # the dihedral group of order 2(p-1) around the split torus: 2 is a
@@ -641,25 +628,34 @@ class TestGroupOrder:
             chains.append(args)
             return transversals(*args)
 
-        def no_listing(*args):
-            raise AssertionError("closure_codes called")
-
         monkeypatch.setattr(dickson, "_transversals", counted_transversals)
-        monkeypatch.setattr(dickson, "closure_codes", no_listing)
+        listings = count_listings(monkeypatch)
         rep = dickson.classify(mats(GFq(5003), (2, 0, 0, 1), (0, 1, 1, 0)))
         assert rep.group_order == 10_004
         assert rep.canonical_label == "dihedral-split"
         assert len(chains) == 1
+        assert listings == []
 
-    def test_classify_ignores_the_listing_limit(self, monkeypatch):
-        monkeypatch.setattr(dickson, "MAX_CLOSURE_ORDER", 10_000)
+    def test_classify_ignores_the_listing_limit(self):
         gens = mats(GFq(5003), (2, 0, 0, 1), (0, 1, 1, 0))
         rep = dickson.classify(gens)
         assert rep.group_order == 10_004
         assert rep.canonical_label == "dihedral-split"
         assert rep.in_normalizer_split and not rep.in_normalizer_nonsplit
-        with pytest.raises(ValueError, match="listing limit 10000"):
-            dickson.closure(gens)
+
+    def test_small_group_with_p_squared_above_2_63(self):
+        # 3037000507 = 1 (mod 6) is the least prime with p^2 >= 2^63, and
+        # 2969876064 has multiplicative order 6 mod p: with the flip it
+        # generates the dihedral group of order 12 around the split torus
+        p = 3037000507
+        gens = mats(GFq(p), (2969876064, 0, 0, 1), (0, 1, 1, 0))
+        got = closure(gens)
+        assert len(got) == 12
+        assert all((x * y).scalar_normalized() in got for x in got for y in got)
+        assert Counter(dickson.projective_order(m) for m in got) == {1: 1, 2: 7, 3: 2, 6: 2}
+        rep = dickson.classify(gens)
+        assert rep.group_order == 12
+        assert rep.canonical_label == "dihedral-split"
 
     def test_duplicate_products_are_an_inconsistency(self, monkeypatch):
         # a transversal with a repeated element makes the product count fall
@@ -673,7 +669,7 @@ class TestGroupOrder:
 
         monkeypatch.setattr(dickson, "_transversals", padded)
         with pytest.raises(InternalInconsistencyError, match="distinct elements"):
-            dickson.closure(mats(F7, (3, 0, 0, 1), (0, 1, 1, 0)))
+            closure(mats(F7, (3, 0, 0, 1), (0, 1, 1, 0)))
 
     def test_psl2_large_prime(self):
         p = 1009
@@ -891,14 +887,6 @@ class TestClassifyOracle:
         ],
     )
     def test_lists_only_groups_of_at_most_60_elements(self, monkeypatch, field, codes, order):
-        listed = []
-        elements = dickson._elements
-
-        def recorded(field, transversals):
-            out = elements(field, transversals)
-            listed.append(len(out))
-            return out
-
-        monkeypatch.setattr(dickson, "_elements", recorded)
+        listed = count_listings(monkeypatch)
         assert dickson.classify(mats(field, *codes)).group_order == order
         assert listed == ([order] if 1 < order <= 60 else [])

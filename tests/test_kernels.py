@@ -1,17 +1,15 @@
 """Kernel checks against independent routes: exact rational Bernoulli numbers,
 the O(p^2) Pascal-row convolution and the Newton route with factorials from
 Python loops and 64-bit Kronecker slots for the Newton-inversion table, a
-schoolbook product for its Kronecker multiply, a full j-scan oracle for the
-closed-form eta check, and known group orders and Python matrix products for
-the transversal-product listing (the breadth-first closure oracle of the
-listing is in test_dickson)."""
+schoolbook product for its Kronecker multiply, and a full j-scan oracle for the
+closed-form eta check."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galim import arith, dickson, kernels
+from galim import arith, kernels
 
 
 def _bernoulli_table_oracle(p):
@@ -246,64 +244,3 @@ class TestEtaKernel:
     def test_rejects_small_primes(self):
         with pytest.raises(ValueError):
             kernels.eta_scan([5, 7])
-
-
-def _levels(field, codes):
-    """The Schreier-Sims transversals of the generated group, as kernel rows."""
-    gens = [dickson.Mat2(field, *c) for c in codes]
-    return [[(u.a, u.b, u.c, u.d) for u in t.values()] for t in dickson._transversals(field, gens)]
-
-
-def _list(field, levels):
-    return kernels.closure_codes(levels, field)
-
-
-def _tuples(rows):
-    return [tuple(row) for row in rows]
-
-
-def _python_products(field, levels):
-    """Every product of one row per level, scalar-normalized by Mat2."""
-    out = {dickson.identity_mat(field)}
-    for level in levels:
-        out = {x * dickson.Mat2(field, *row) for x in out for row in level}
-    return sorted((m.a, m.b, m.c, m.d) for m in {m.scalar_normalized() for m in out})
-
-
-class TestClosureKernel:
-    def test_lists_sorted_normalized_products(self):
-        # <(0,1,-1,0), (1,1,0,1)> generates all of PSL2(F7), order 168: the
-        # three transversal levels multiply out to 168 distinct rows
-        field = dickson.GFq(7)
-        levels = _levels(field, [(0, 1, 6, 0), (1, 1, 0, 1)])
-        assert np.prod([len(level) for level in levels]) == 168
-        rows = _list(field, levels)
-        assert len(rows) == 168
-        assert all(len(row) == 4 and all(type(x) is int for x in row) for row in rows)
-        # sorted and distinct, as the Python products are
-        assert _tuples(rows) == _python_products(field, levels)
-
-    def test_identity_only(self):
-        field = dickson.GFq(11)
-        got = _list(field, [[(1, 0, 0, 1)]] * 3)
-        assert got == [[1, 0, 0, 1]]
-
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_exact_at_the_largest_prime_below_the_limit(self, r):
-        # 3037000493 is the largest prime with p^2 < 2^63; entries near p
-        # make every int64 product of two residues come close to 2^63
-        p = 3037000493
-        field = dickson.GFq(p, r)
-        top = field.q - 1
-        levels = [
-            [(1, 0, 0, 1), (top, top - 1, 1, top)],
-            [(top - 2, 0, 0, 1), (0, top, 1, top - 3)],
-            [(1, 0, 0, 1), (top, 1, top - 4, 2)],
-        ]
-        assert _tuples(_list(field, levels)) == _python_products(field, levels)
-
-    def test_refuses_primes_whose_products_overflow_int64(self):
-        # 3037000507 is the least prime with p^2 >= 2^63
-        field = dickson.GFq(3037000507)
-        with pytest.raises(ValueError, match=r"p\^2 < 2\^63"):
-            _list(field, [[(1, 0, 0, 1)]])

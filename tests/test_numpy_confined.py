@@ -40,5 +40,8 @@ def test_only_array_modules_import_numpy():
 
 
 def test_serialize_refuses_numpy_values():
-    with pytest.raises(TypeError):
-        cli.serialize(np.int64(5))
+    # float64 and str_ subclass float and str, so only an exact-type check
+    # refuses them
+    for value in (np.int64(5), np.float64(0.5), np.str_("x"), np.bool_(True)):
+        with pytest.raises(TypeError):
+            cli.serialize(value)
