@@ -7,11 +7,15 @@ the even series, ``kernels.bernoulli_table_mod``), irregular indices, and the
 primorial totient-ratio report whose values approach exp(-gamma) =
 0.56146... from below.  ``factorize`` trial-divides by the primes below
 2^16, a list built once per process on its first call, and tests for
-primality only what remains of n >= 2^32.
+primality only what remains of n >= 2^32.  ``primes_in_range`` sieves only
+its window, by the primes up to the square root of its top, so a window
+high up costs about as little as one near 0; it refuses tops of 2^48 and
+more.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,29 +104,38 @@ def kronecker(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-_sieve_limit = 0
-_sieve_primes = np.empty(0, dtype=np.int64)
-
-
-def primes_up_to(n: int) -> np.ndarray:
-    """Primes <= n as an int64 array (cached, grown on demand)."""
-    global _sieve_limit, _sieve_primes
-    if n > _sieve_limit:
-        limit = max(n, 2 * _sieve_limit, 1 << 16)
-        flags = np.ones(limit + 1, dtype=bool)
-        flags[:2] = False
-        for q in range(2, math.isqrt(limit) + 1):
-            if flags[q]:
-                flags[q * q :: q] = False
-        _sieve_primes = np.nonzero(flags)[0].astype(np.int64)
-        _sieve_limit = limit
-    return _sieve_primes[: int(np.searchsorted(_sieve_primes, n, side="right"))]
+# windows reach this bound at most: their sieving primes up to 2^24 stay a
+# list of about a million ints
+_SIEVE_LIMIT = 1 << 48
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi."""
-    arr = primes_up_to(hi)
-    return [int(p) for p in arr[np.searchsorted(arr, lo, side="left") :]]
+    """Primes p with lo <= p <= hi, for hi < 2^48.
+
+    Only the window [lo, hi] is sieved, by the primes up to sqrt(hi): the
+    trial primes of ``factorize`` when sqrt(hi) < 2^16, otherwise the primes
+    of one recursive call.  So the cost follows the window and sqrt(hi),
+    not hi, and nothing is kept between calls but the trial primes.
+    """
+    if hi >= _SIEVE_LIMIT:
+        raise ValueError(f"primes_in_range needs hi < 2^48, got {hi}")
+    lo = max(lo, 2)
+    if lo > hi:
+        return []
+    root = math.isqrt(hi)
+    base = _small_primes() if root < _TRIAL_LIMIT else primes_in_range(2, root)
+    return _window(lo, hi, base[: bisect.bisect_right(base, root)])
+
+
+def _window(lo: int, hi: int, base: list[int]) -> list[int]:
+    """Primes in [lo, hi], 2 <= lo, given every prime up to sqrt(hi) in base."""
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    for q in base:
+        flags[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    primes = np.flatnonzero(flags)
+    del flags  # freed before the list of ints is built
+    primes += lo
+    return primes.tolist()
 
 
 def _pollard_brent(n: int) -> int:
@@ -159,6 +172,19 @@ _TRIAL_LIMIT = 1 << 16
 _trial_primes: list[int] = []
 
 
+def _small_primes() -> list[int]:
+    """The primes below 2^16, sieved on the first call and kept: each bound
+    of 4, 16, 256 and 2^16 is the square of the one before, so each window
+    is sieved by the primes of the last."""
+    global _trial_primes
+    if not _trial_primes:
+        primes = [2]
+        for bound in (4, 16, 256, _TRIAL_LIMIT):
+            primes = _window(2, bound, primes)
+        _trial_primes = primes
+    return _trial_primes
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
@@ -168,13 +194,10 @@ def factorize(n: int) -> dict[int, int]:
     has been tried: either way it is recorded with no primality test, so
     ``is_prime`` and Pollard-Brent see only cofactors of n >= 2^32.
     """
-    global _trial_primes
     if n < 1:
         raise ValueError("factorize needs n >= 1")
-    if not _trial_primes:
-        _trial_primes = primes_up_to(_TRIAL_LIMIT).tolist()
     out: dict[int, int] = {}
-    for q in _trial_primes:
+    for q in _small_primes():
         if q * q > n:
             break
         while n % q == 0:
@@ -340,7 +363,7 @@ def totient_liminf_report(count: int) -> TotientRatioReport:
     n_k, k = 3..count.  The ratio column climbs toward exp(-gamma)."""
     if not 3 <= count <= 25:
         raise ValueError("totient_liminf_report supports 3 <= count <= 25")
-    ps = primes_up_to(200).tolist()
+    ps = primes_in_range(2, 200)
     rows = []
     n = 1
     for i in range(count):

@@ -455,8 +455,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"usage error: cannot write --out {args.out}: {reason}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(rendered)
     return 0

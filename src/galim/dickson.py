@@ -16,10 +16,15 @@ the generators and their pairwise products, and walks a decision cascade:
      split when the pair is rational, nonsplit when conjugate over F_{q^2};
      a nonscalar m = [[a, b], [c, d]] fixes exactly the roots of the form
      c x^2 + (d - a) xy - b y^2, and g preserves that pair when g m g^-1
-     has the same form, so this stage computes in F_q alone
+     has the same form
   3. projective order 12 / 24 / 60 with the right element-order statistics
      -> exceptional A4 / S4 / A5
   4. order divisible by p and irreducible  -> contains PSL2 of a subfield
+
+Stages 1 and 2 compute in F_q alone and take no square root: a form's
+rational lines are counted from the square class of its discriminant, and
+forms that differ share a line only at the point read off the cross product
+of their coefficient vectors.
 
 The flags record every containment found, and ``canonical_label`` reports
 the first stage that fires, so a group living inside several types loses
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .arith import InternalInconsistencyError, is_prime, kronecker, sqrt_mod
+from .arith import InternalInconsistencyError, is_prime, kronecker
 
 
 class GFq:
@@ -115,34 +120,13 @@ class GFq:
         ninv = pow(norm, p - 2, p)
         return a0 * ninv % p + p * (-a1 * ninv % p)
 
-    def sqrt(self, a: int) -> int | None:
-        """Least-code square root in F_q, or None for a nonsquare.
-
-        Prime fields use Tonelli-Shanks.  In F_{p^2}, a = a0 + a1*x is a
-        square exactly when its norm a0^2 - n*a1^2 is a square mod p, and
-        then one of (a0 +- sqrt(norm))/2 is the square of the root's
-        rational part b0, whose irrational part is a1/(2*b0).
-        """
+    def is_square(self, a: int) -> bool:
+        """Whether a is a square in F_q, zero included.  In F_{p^2}, a = a0 +
+        a1*x is a square exactly when its norm a0^2 - n*a1^2 is one mod p."""
         p = self.p
-        if self.r == 1:
-            return sqrt_mod(a, p)
-        n = self.nonresidue
-        a0, a1 = a % p, a // p
-        if a1 == 0:
-            b0 = sqrt_mod(a0, p)
-            if b0 is not None:
-                return b0
-            b1 = sqrt_mod(a0 * pow(n, -1, p), p)
-            return p * b1
-        t = sqrt_mod(a0 * a0 - n * a1 * a1, p)
-        if t is None:
-            return None
-        half = (p + 1) // 2
-        b0 = sqrt_mod((a0 + t) * half, p)
-        if b0 is None:
-            b0 = sqrt_mod((a0 - t) * half, p)
-        b1 = a1 * pow(2 * b0, -1, p) % p
-        return min(b0 + p * b1, -b0 % p + p * (-b1 % p))
+        if self.r == 2:
+            a = (a % p) ** 2 - self.nonresidue * (a // p) ** 2
+        return kronecker(a, p) != -1
 
 
 @dataclass(frozen=True)
@@ -260,29 +244,36 @@ def _form(m: Mat2) -> tuple[int, int, int] | None:
     return tuple(f.mul(x, s) for x in coeffs)
 
 
-def _fixed_lines(m: Mat2) -> tuple[tuple[int, int, int], frozenset[int]] | None:
-    """Fixed lines of m on the projective line, or None for scalar m.
-
-    Returns ``(form, slopes)``: the form of ``_form`` and the codes of its
-    rational roots.  A line spanned by (x, y) is coded by the slope t = x/y
-    in F_q, with the vertical line (1, 0) coded as q.  A split pair has two
-    rational slopes, a double root one, and a conjugate pair none.
-    """
-    form = _form(m)
-    if form is None:
-        return None
-    f = m.field
+def _rational_lines(field: GFq, form: tuple[int, int, int]) -> int:
+    """How many rational lines the form u x^2 + v xy + w y^2 vanishes on: 1
+    when v^2 - 4uw is 0 (for u = 0 too: y^2), 2 when it is a nonzero square
+    (y (x + w y) among them), 0 for a pair conjugate over F_{q^2}."""
     u, v, w = form
-    if u == 0:
-        # y divides the form: infinity is a root, and x + w y the other
-        # factor unless the form is y^2
-        return form, frozenset({f.q} if v == 0 else {f.q, f.neg(w)})
-    # slopes satisfy t^2 + v t + w = 0
-    s = f.sqrt(f.sub(f.mul(v, v), f.mul(f.from_int(4), w)))
-    if s is None:
-        return form, frozenset()
-    half = f.inv(f.from_int(2))
-    return form, frozenset({f.mul(f.sub(s, v), half), f.mul(f.neg(f.add(s, v)), half)})
+    disc = field.sub(field.mul(v, v), field.mul(field.from_int(4), field.mul(u, w)))
+    if disc == 0:
+        return 1
+    return 2 if field.is_square(disc) else 0
+
+
+def _common_line(field: GFq, forms: list[tuple[int, int, int]]) -> bool:
+    """Whether forms that are not all equal vanish on one common line.
+
+    Two distinct forms share at most one root, and a shared root is
+    rational, since a form over F_q with an irrational root also has its
+    conjugate.  At a shared root (x : y) the vector (x^2, xy, y^2) is
+    orthogonal to both coefficient vectors, so it is proportional to their
+    cross product (a, b, c): the root can only be (b : c), or (1 : 0) when
+    c = 0, and it is one when every form vanishes there.
+    """
+    f = field
+    (u1, v1, w1), (u2, v2, w2) = forms[0], next(g for g in forms if g != forms[0])
+    b = f.sub(f.mul(w1, u2), f.mul(u1, w2))
+    c = f.sub(f.mul(u1, v2), f.mul(v1, u2))
+    x, y = (b, c) if c else (1, 0)
+    xx, xy, yy = f.mul(x, x), f.mul(x, y), f.mul(y, y)
+    return all(
+        f.add(f.add(f.mul(u, xx), f.mul(v, xy)), f.mul(w, yy)) == 0 for u, v, w in forms
+    )
 
 
 def _preserves(g: Mat2, h: Mat2) -> bool:
@@ -442,11 +433,14 @@ def classify(generators: list[Mat2]) -> DicksonReport:
     # dedupe while preserving determinism
     nonscalar_gens = sorted(set(nonscalar_gens), key=lambda m: (m.a, m.b, m.c, m.d))
 
-    fixed = [_fixed_lines(g) for g in nonscalar_gens]
-    common_rational = frozenset.intersection(*(slopes for _, slopes in fixed))
-    reducible = len(common_rational) >= 1
-    split_cartan = len(common_rational) >= 2
-    nonsplit_cartan = len({form for form, _ in fixed}) == 1 and not fixed[0][1]
+    forms = [_form(g) for g in nonscalar_gens]
+    if len(set(forms)) == 1:
+        lines = _rational_lines(field, forms[0])
+        reducible, split_cartan, nonsplit_cartan = lines >= 1, lines == 2, lines == 0
+    else:
+        # distinct forms share at most one line, so no Cartan holds them all
+        reducible = _common_line(field, forms)
+        split_cartan = nonsplit_cartan = False
 
     # Every element of N(C) outside the Cartan C is an involution.  So a
     # group inside N(C) either has exponent 2 (its generators commute: an
@@ -457,9 +451,9 @@ def classify(generators: list[Mat2]) -> DicksonReport:
     exponent_2 = n <= 4 and set(stats) <= {1, 2}
     preserved: set[int] = set()
     for h in nonscalar_gens + [g * h for g, h in combinations(nonscalar_gens, 2)]:
-        lines = _fixed_lines(h)
-        if lines is not None and all(_preserves(g, h) for g in nonscalar_gens):
-            preserved.add(len(lines[1]))
+        form = _form(h)
+        if form is not None and all(_preserves(g, h) for g in nonscalar_gens):
+            preserved.add(_rational_lines(field, form))
     in_norm_split = exponent_2 or 2 in preserved
     in_norm_nonsplit = exponent_2 or 0 in preserved
 

@@ -5,7 +5,11 @@ subgroup of order > 5, so any tame inertia character whose projective order
 exceeds 5 kills the exceptional case on the spot.  The functions here
 compute those orders for powers of the two tame fundamental characters,
 evaluate the closed-form prime bounds, and run the finite gcd check that
-pins the supersingular dimension bound.
+pins the supersingular dimension bound.  That check tests, per prime, only
+the O(1) closed-form exponents whose tame order is at most 5; ``eta_gcd_check``,
+``eta_candidates`` and the eta kind of ``witness.scan`` share one private
+helper for them, and the full j-scan it replaces is kept in the tests as
+its oracle.
 
 Orders are exact integers throughout; the only string-valued order is the
 ">= p" marker for the wildly ramified shape, where inertia is forced to
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import InternalInconsistencyError, is_prime, totient
-from .kernels import _eta_exponents, eta_scan
 
 
 def proj_order_level1(p: int, a: int) -> int:
@@ -178,6 +181,27 @@ def case_i_cutoff(d: int) -> int:
         p += 1
 
 
+# private, so the per-layer trace, which wraps public names only, counts its
+# time in its callers
+def _eta_exponents(p: int, violations: bool = False) -> list[int]:
+    """Sorted j in [1, p-2] whose projective tame order (p+1)/gcd(j+1, p+1)
+    is at most 5, excluding the midpoint j+1 = (p+1)/2; with violations,
+    only those with gcd(j, p-1) > 3.  Needs p >= 7, not that p is prime.
+
+    That order is n exactly when j+1 = m(p+1)/n with gcd(m, n) = 1 and
+    n | p+1; n = 1 needs j+1 = p+1, out of range, and n = 2 is the midpoint.
+    For p >= 7 every such j+1 lies in [2, p-1].
+    """
+    if p < 7:
+        raise ValueError(f"eta exponents need p >= 7, got {p}")
+    out = []
+    for n in (3, 4, 5):
+        if (p + 1) % n:
+            continue
+        out.extend(m * (p + 1) // n - 1 for m in range(1, n) if gcd(m, n) == 1)
+    return sorted(j for j in out if not violations or gcd(j, p - 1) > 3)
+
+
 def eta_gcd_check(p: int) -> list[int]:
     """Exponents j in [1, p-2] violating the gcd <= 3 law (expected none).
 
@@ -186,7 +210,7 @@ def eta_gcd_check(p: int) -> list[int]:
     """
     if p < 7 or not is_prime(p):
         raise ValueError(f"need a prime p >= 7, got {p}")
-    return [j for _, j in eta_scan([p])]
+    return _eta_exponents(p, violations=True)
 
 
 def eta_candidates(p: int) -> list[int]:

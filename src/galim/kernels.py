@@ -1,4 +1,4 @@
-"""Hot numeric loops: the mod-p Bernoulli table in numpy, and the gcd check.
+"""The hot numeric loop: the mod-p Bernoulli table in numpy.
 
 The Bernoulli table comes from Newton inversion of a power series with
 Kronecker-substitution products in slots of as few bytes as the
@@ -7,16 +7,14 @@ into the powers of a primitive root, with no loop of length p in Python.
 The O(p^2) convolution, and the Newton route with Python-loop factorials
 and 64-bit slots, are kept in the tests as its oracles.
 
-The tame-order gcd check lives here too, on plain Python ints: it tests only
-the O(1) closed-form exponents per prime, and the full j-scan it replaces is
-kept in the tests as its oracle.  Numpy stays inside this module, ``arith``
-and ``quadforms``: of the public functions here only ``bernoulli_table_mod``
-returns an array, and only ``arith`` reads it.
+In the library only ``arith`` imports this module and reads the array that
+``bernoulli_table_mod`` returns; numpy stays inside this module, ``arith``
+and ``quadforms``.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -154,35 +152,3 @@ def _pack(a: np.ndarray, w: int) -> int:
     if w > 8:
         rows = np.pad(rows, ((0, 0), (0, w - 8)))
     return int.from_bytes(rows[:, :w].tobytes(), "little")
-
-
-# ---------------------------------------------------------------------------
-# Tame-order gcd check
-# ---------------------------------------------------------------------------
-
-
-# private so that the per-layer trace, which wraps public names only, keeps
-# the eta time inside eta_scan; inertia.eta_candidates shares it
-def _eta_exponents(p: int) -> list[int]:
-    """Sorted j in [1, p-2] whose projective tame order (p+1)/gcd(j+1, p+1)
-    is at most 5, excluding the midpoint j+1 = (p+1)/2.  Needs p >= 7.
-
-    That order is n exactly when j+1 = m(p+1)/n with gcd(m, n) = 1 and
-    n | p+1; n = 1 needs j+1 = p+1, out of range, and n = 2 is the midpoint.
-    For p >= 7 every such j+1 lies in [2, p-1].
-    """
-    out = []
-    for n in (3, 4, 5):
-        if (p + 1) % n:
-            continue
-        out.extend(m * (p + 1) // n - 1 for m in range(1, n) if gcd(m, n) == 1)
-    return sorted(out)
-
-
-def eta_scan(primes: list[int]) -> list[tuple[int, int]]:
-    """Pairs (p, j), j in [1, p-2], where the projective tame order is <= 5,
-    j+1 is not the excluded midpoint (p+1)/2, and yet gcd(j, p-1) > 3.
-    Expected empty."""
-    if primes and min(primes) < 7:
-        raise ValueError("eta scan needs primes >= 7")
-    return [(p, j) for p in primes for j in _eta_exponents(p) if gcd(j, p - 1) > 3]

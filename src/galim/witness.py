@@ -24,7 +24,7 @@ from math import gcd, log
 
 from . import arith, dims, quadforms
 from .cyclotomic import CycloValue
-from .kernels import eta_scan
+from .inertia import _eta_exponents
 
 
 class RegularPrimeError(ValueError):
@@ -147,20 +147,22 @@ def _brauer_siegel_ratio(p: int, h: int) -> float:
     return 0.0 if h == 1 else 2.0 * log(h) / log(p)
 
 
-def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int]]:
-    """One contiguous subrange, single process.  Returns (items, skipped)."""
+def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int], int]:
+    """One contiguous subrange, single process.  Returns (items, skipped,
+    the number of primes in the subrange)."""
     items: list = []
     skipped: dict[str, int] = {}
 
     def skip(reason: str) -> None:
         skipped[reason] = skipped.get(reason, 0) + 1
 
-    for p in arith.primes_in_range(lo, hi):
+    primes = arith.primes_in_range(lo, hi)
+    for p in primes:
         if p < 7:
             skip("below_domain")
             continue
         if kind == "eta":
-            items.extend({"p": p, "j": j} for _, j in eta_scan([p]))
+            items.extend({"p": p, "j": j} for j in _eta_exponents(p, violations=True))
         elif kind == "borel":
             try:
                 w = borel_witness(p)
@@ -186,23 +188,25 @@ def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int]]:
             items.append({"p": p, "h": h, "ratio": _brauer_siegel_ratio(p, h)})
         else:
             raise ValueError(f"unknown scan kind {kind!r}")
-    return items, skipped
+    return items, skipped, len(primes)
 
 
 def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
     """Run a witness family over all primes in [lo, hi], inclusive.
 
-    jobs > 1 splits the range into that many contiguous chunks, at most one
-    per integer of the range, handled by at most os.cpu_count() worker
-    processes and sent to them in at most one batch of consecutive chunks
-    per worker; aggregation happens after the in-order merge, so the report
-    never depends on the job count.
+    jobs must be at least 1.  jobs > 1 splits the range into that many
+    contiguous chunks, at most one per integer of the range, handled by at
+    most os.cpu_count() worker processes and sent to them in at most one
+    batch of consecutive chunks per worker; aggregation happens after the
+    in-order merge, so the report never depends on the job count.
     """
     if kind not in SCAN_KINDS:
         raise ValueError(f"kind must be one of {SCAN_KINDS}, got {kind!r}")
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    jobs = max(1, min(jobs, hi - lo + 1))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, hi - lo + 1)
 
     if jobs == 1:
         chunks = [_scan_chunk(kind, lo, hi)]
@@ -222,8 +226,10 @@ def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
 
     items: list = []
     skipped: dict[str, int] = {}
-    for chunk_items, chunk_skipped in chunks:
+    primes = 0
+    for chunk_items, chunk_skipped, chunk_primes in chunks:
         items.extend(chunk_items)
+        primes += chunk_primes
         for reason, count in chunk_skipped.items():
             skipped[reason] = skipped.get(reason, 0) + count
 
@@ -240,7 +246,7 @@ def scan(kind: str, lo: int, hi: int, jobs: int = 1) -> ScanReport:
             aggregates["max_class_number"] = max(w.h for w in items)
     elif kind == "eta":
         aggregates["counterexamples"] = len(items)
-        aggregates["scanned"] = len(arith.primes_in_range(max(lo, 7), hi))
+        aggregates["scanned"] = primes - skipped.get("below_domain", 0)
     elif kind == "brauer_siegel":
         if items:
             aggregates["ratio_min"] = min(r["ratio"] for r in items)

@@ -119,9 +119,29 @@ class TestKronecker:
 
 class TestSieve:
     def test_primes_up_to(self):
-        got = arith.primes_up_to(200)
+        got = arith.primes_in_range(2, 200)
         want = [n for n in range(2, 201) if naive_is_prime(n)]
-        assert list(got) == want
+        assert got == want
+
+    @settings(max_examples=200)
+    @given(st.integers(-10, 5000), st.integers(-10, 5000))
+    def test_windows_match_trial_division(self, lo, hi):
+        got = arith.primes_in_range(lo, hi)
+        assert got == [n for n in range(max(lo, 2), hi + 1) if naive_is_prime(n)]
+        assert all(type(p) is int for p in got)
+
+    # sqrt(hi) below 2^16, at it, and above it, where the sieving primes
+    # come from a recursive call
+    @pytest.mark.parametrize("lo", [400_000_000, (1 << 32) - 150, 10**10, 1 << 40])
+    def test_windows_high_up_match_miller_rabin(self, lo):
+        want = [n for n in range(lo, lo + 301) if arith.is_prime(n)]
+        assert arith.primes_in_range(lo, lo + 300) == want
+
+    def test_refuses_windows_reaching_2_48(self):
+        with pytest.raises(ValueError, match="hi < 2\\^48"):
+            arith.primes_in_range((1 << 48) - 10, 1 << 48)
+        with pytest.raises(ValueError, match="hi < 2\\^48"):
+            arith.primes_in_range(2, 1 << 60)
 
     def test_primes_in_range_inclusive(self):
         assert arith.primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
@@ -162,26 +182,30 @@ class TestFactorization:
         assert all(e >= 1 for e in fac.values())
 
     def test_independent_of_sieve_growth(self, monkeypatch):
+        # windows sieved high up, before and after the trial primes are
+        # rebuilt, change no factorization
         rng = random.Random(17)
         ns = [rng.randrange(1, 10**12) for _ in range(200)] + [65537 * 65539]
         before = [arith.factorize(n) for n in ns]
-        arith.primes_up_to(10**6)
-        monkeypatch.setattr(arith, "_trial_primes", [])  # rebuilt from the grown sieve
+        arith.primes_in_range(10**10, 10**10 + 1000)
+        monkeypatch.setattr(arith, "_trial_primes", [])
+        arith.primes_in_range(10**6, 10**6 + 1000)
         assert [arith.factorize(n) for n in ns] == before
-        assert arith._trial_primes == arith.primes_up_to(1 << 16).tolist()
+        want = [n for n in range(2, 1 << 16) if arith.is_prime(n)]
+        assert arith._trial_primes == arith.primes_in_range(2, 1 << 16) == want
 
     def test_trial_primes_built_once(self, monkeypatch):
         calls = []
-        sieve = arith.primes_up_to
+        window = arith._window
 
-        def counting(n):
-            calls.append(n)
-            return sieve(n)
+        def counting(lo, hi, base):
+            calls.append((lo, hi))
+            return window(lo, hi, base)
 
-        monkeypatch.setattr(arith, "primes_up_to", counting)
+        monkeypatch.setattr(arith, "_window", counting)
         monkeypatch.setattr(arith, "_trial_primes", [])
         arith.factorize(2)
-        assert calls == [1 << 16]
+        assert calls == [(2, 4), (2, 16), (2, 256), (2, 1 << 16)]
         calls.clear()
         for n in range(1, 1001):
             arith.factorize(n)

@@ -213,11 +213,25 @@ class TestExitCodes:
         ["dickson", "classify", "--field", "7", "--gen", "1,2,3"],
         ["classgroup", "-p", "23", "--format", "csv"],
         ["classgroup", "-p", "100000007"],         # above ANALYTIC_MAX_P
+        ["scan", "lr", "--from", str((1 << 48) - 100), "--to", str(1 << 48)],
     ])
     def test_usage_errors_exit_1(self, argv, capsys):
         rc, out, err = invoke(argv, capsys)
         assert rc == 1 and out == ""
         assert err.startswith("usage error:")
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        rc, out, err = invoke(["dims", "--x0", "11", "--out", str(target)], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"usage error: cannot write --out {target}:")
+        assert "Traceback" not in err and not target.parent.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_1(self, jobs, capsys):
+        rc, out, err = invoke(["scan", "eta", "--from", "7", "--to", "50", "--jobs", jobs], capsys)
+        assert rc == 1 and out == ""
+        assert err == f"usage error: jobs must be >= 1, got {jobs}\n"
 
     @pytest.mark.parametrize("flag", ["--format", "--out"])
     @pytest.mark.parametrize("argv", [

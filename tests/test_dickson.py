@@ -1,10 +1,13 @@
 """Classification of projective matrix groups over small fields: field and
-matrix arithmetic, Schreier-Sims group orders and transversal-product
-listings against a breadth-first closure oracle, fixed pairs as quadratic
-forms against Moebius arithmetic in the quadratic extension of F_q, and the
-full decision cascade against an oracle that searches every listed element
-for Cartan normalizers on that extension-field route."""
+matrix arithmetic, square classes against a table of least square roots,
+Schreier-Sims group orders and transversal-product listings against a
+breadth-first closure oracle, fixed pairs as quadratic forms against Moebius
+arithmetic in the quadratic extension of F_q, common fixed lines against a
+search of every point, and the full decision cascade against an oracle that
+searches every listed element for Cartan normalizers on that extension-field
+route."""
 
+import functools
 import random
 from collections import Counter
 
@@ -50,9 +53,10 @@ def count_listings(monkeypatch):
     return listed
 
 
+@functools.cache
 def least_root_table(field):
     """Least-code square root of every square of the field, by squaring all
-    q codes in increasing order."""
+    q codes in increasing order; the oracles take every root from it."""
     least = {}
     for x in range(field.q):
         least.setdefault(field.mul(x, x), x)
@@ -65,8 +69,9 @@ def least_nonsquare(field):
     In F_{p^2} every code below p is an element of F_p, hence a square, so
     the search starts at code p there.
     """
+    least = least_root_table(field)
     a = 2 if field.r == 1 else field.p
-    while field.sqrt(a) is not None:
+    while a in least:
         a += 1
     return a
 
@@ -97,12 +102,12 @@ def fixed_lines_ext(m):
     da = f.sub(d, a)
     disc = f.add(f.mul(da, da), f.mul(f.from_int(4), f.mul(b, c)))
     inv2c = f.inv(f.mul(f.from_int(2), c))
-    s = f.sqrt(disc)
+    s = least_root_table(f).get(disc)
     if s is not None:
         t1 = f.mul(f.add(f.sub(a, d), s), inv2c)
         t2 = f.mul(f.sub(f.sub(a, d), s), inv2c)
         return "rational", frozenset({t1, t2}), None
-    w = f.sqrt(f.mul(disc, f.inv(least_nonsquare(f))))
+    w = least_root_table(f).get(f.mul(disc, f.inv(least_nonsquare(f))))
     assert w is not None  # disc nonsquare, so disc/N is a square
     beta = f.mul(w, inv2c)
     return "nonrational", None, (f.mul(f.sub(a, d), inv2c), min(beta, f.neg(beta)))
@@ -219,57 +224,70 @@ class TestGFq:
                 assert f.mul(a, b) == a * b % 7
 
     def test_sqrt(self):
+        # a code has a square root exactly when is_square says so: 0 plus
+        # exactly (q-1)/2 nonzero squares
         for f in (GFq(11), GFq(7, 2)):
-            roots = 0
-            for a in range(f.q):
-                r = f.sqrt(a)
-                if r is not None:
-                    roots += 1
-                    assert f.mul(r, r) == a
-            # 0 plus exactly (q-1)/2 nonzero squares
-            assert roots == (f.q - 1) // 2 + 1
+            least = least_root_table(f)
+            squares = [a for a in range(f.q) if f.is_square(a)]
+            assert squares == sorted(least)
+            assert all(f.mul(least[a], least[a]) == a for a in squares)
+            assert len(squares) == (f.q - 1) // 2 + 1
 
     # least_nonsquare is the extension-field oracle's N
     def test_ext_nonresidue(self):
         for f in (GFq(7), GFq(7, 2), GFq(13)):
             n = least_nonsquare(f)
-            assert n and f.sqrt(n) is None
+            assert n and not f.is_square(n)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 29, 31, 37, 43])
     def test_ext_nonresidue_matches_search_from_two(self, p):
         # p = 1 mod 4 gives x itself (code p); p = 3 mod 4 a later code
         f = GFq(p, 2)
         a = 2
-        while f.sqrt(a) is not None:
+        while f.is_square(a):
             a += 1
         assert least_nonsquare(f) == a
         assert (a == p) == (p % 4 == 1)
 
-    @pytest.mark.parametrize("p", [7, 13])
+    # is_square reads one Kronecker symbol, so no table is built; the codes
+    # with a square root come from the table here
+    @pytest.mark.parametrize("p", [7, 11, 13])
     def test_prime_field_sqrt_builds_no_table(self, p):
         f = GFq(p)
         least = least_root_table(f)
-        assert [f.sqrt(a) for a in range(p)] == [least.get(a) for a in range(p)]
+        assert [f.is_square(a) for a in range(p)] == [a in least for a in range(p)]
         assert least_nonsquare(f) == min(a for a in range(1, p) if a not in least)
 
     @pytest.mark.parametrize("p", [7, 11, 13, 23, 31, 47, 101])
     def test_extension_field_sqrt_matches_least_root_table(self, p):
         f = GFq(p, 2)
         least = least_root_table(f)
-        assert [f.sqrt(a) for a in range(f.q)] == [least.get(a) for a in range(f.q)]
+        assert [f.is_square(a) for a in range(f.q)] == [a in least for a in range(f.q)]
         assert least_nonsquare(f) == min(a for a in range(1, f.q) if a not in least)
 
     def test_extension_field_sqrt_needs_no_table(self):
-        # a table of the 10^8 squares of F_{10007^2} would not fit here
+        # a table of the 10^8 squares of F_{10007^2} would not fit here, so
+        # Euler's criterion a^((q-1)/2) in {0, 1} is the oracle
         p = 10007
         f = GFq(p, 2)
         rng = random.Random(13)
-        n = least_nonsquare(f)
+
+        def euler(a):
+            out, e = 1, (f.q - 1) // 2
+            while e:
+                if e & 1:
+                    out = f.mul(out, a)
+                a, e = f.mul(a, a), e >> 1
+            return out
+
+        seen = set()
         for _ in range(200):
             b = rng.randrange(1, f.q)
-            root = f.sqrt(f.mul(b, b))
-            assert root == min(b, f.neg(b))
-            assert f.sqrt(f.mul(n, f.mul(b, b))) is None
+            assert f.is_square(f.mul(b, b))
+            assert f.is_square(b) == (euler(b) == 1)
+            seen.add(f.is_square(b))
+        assert seen == {True, False}
+        assert f.is_square(0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -346,14 +364,14 @@ class TestFixedPairs:
 
     @staticmethod
     def assert_fixed_lines_match(elements):
-        lines = [dickson._fixed_lines(m) for m in elements]
+        forms = [dickson._form(m) for m in elements]
         oracle = [fixed_lines_ext(m) for m in elements]
-        for (form, slopes), (kind, pts, _) in zip(lines, oracle):
-            assert slopes == (pts if kind == "rational" else frozenset())
+        for m, form, (kind, pts, _) in zip(elements, forms, oracle):
+            assert dickson._rational_lines(m.field, form) == (len(pts) if kind == "rational" else 0)
             assert len(form) == 3 and next(x for x in form if x) == 1
         # equal forms exactly for equal fixed pairs, rational or conjugate
         by_form, by_pair = {}, {}
-        for i, ((form, _), (_, pts, pair)) in enumerate(zip(lines, oracle)):
+        for i, (form, (_, pts, pair)) in enumerate(zip(forms, oracle)):
             by_form.setdefault(form, set()).add(i)
             by_pair.setdefault(pts or pair, set()).add(i)
         assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_pair.values()))
@@ -362,12 +380,12 @@ class TestFixedPairs:
         elements = nonscalar_elements(F7)
         assert len(elements) == 335
         self.assert_fixed_lines_match(elements)
-        kinds = Counter(len(slopes) for _, slopes in map(dickson._fixed_lines, elements))
+        kinds = Counter(dickson._rational_lines(F7, dickson._form(m)) for m in elements)
         # PGL2(F_q) has q(q+1)/2 split tori with q-2 nonscalar elements each,
         # q^2-1 unipotents, and q(q-1)/2 nonsplit tori with q each
         assert kinds == {2: 28 * 5, 1: 48, 0: 21 * 7}
-        assert dickson._fixed_lines(identity_mat(F7)) is None
-        assert dickson._fixed_lines(Mat2(F7, 3, 0, 0, 3)) is None
+        assert dickson._form(identity_mat(F7)) is None
+        assert dickson._form(Mat2(F7, 3, 0, 0, 3)) is None
 
     def test_preserves_every_pair_over_f7(self):
         elements = nonscalar_elements(F7)
@@ -411,6 +429,61 @@ class TestFixedPairs:
             outcomes[lines[0], got] += 1
         # both kinds of pair, preserved and not, all came up
         assert len(outcomes) == 4
+
+
+def assert_common_line_matches_search(field, gens):
+    """``_common_line`` against a search of all q+1 points for one that
+    ``_moebius`` fixes under every generator; returns the outcome, or None
+    when the forms are all equal and ``_common_line`` does not apply."""
+    forms = [dickson._form(g) for g in gens]
+    if len(set(forms)) == 1:
+        return None
+    want = any(all(dickson._moebius(g, t) == t for g in gens) for t in range(field.q + 1))
+    assert dickson._common_line(field, forms) == want, gens
+    return want
+
+
+@st.composite
+def common_line_sets(draw):
+    """Two or three nonscalar generators over F_7, F_11, F_13 or F_49, all
+    upper triangular or all random, conjugated by one random matrix."""
+    field = draw(st.sampled_from([F7, F11, F13, F49]))
+    unit, entry = st.integers(1, field.q - 1), st.integers(0, field.q - 1)
+    upper = st.tuples(unit, entry, unit).map(lambda t: (t[0], t[1], 0, t[2]))
+    anything = st.tuples(entry, entry, entry, entry)
+    shape = draw(st.sampled_from([upper, anything]))
+    mat = shape.map(lambda e: Mat2(field, *e)).filter(lambda m: m.det() and not m.is_scalar())
+    gens = draw(st.lists(mat, min_size=2, max_size=3))
+    k = draw(anything.map(lambda e: Mat2(field, *e)).filter(lambda m: m.det() != 0))
+    return field, [k * g * k.adjugate() for g in gens]
+
+
+class TestCommonLine:
+    @settings(max_examples=200)
+    @given(common_line_sets())
+    def test_matches_point_search(self, case):
+        assert_common_line_matches_search(*case)
+
+    def test_both_outcomes_occur(self):
+        outcomes = Counter()
+
+        @settings(max_examples=200, derandomize=True, database=None)
+        @given(common_line_sets())
+        def run(case):
+            outcomes[assert_common_line_matches_search(*case)] += 1
+
+        run()
+        assert outcomes[True] > 20 and outcomes[False] > 20
+
+    def test_shared_line_at_infinity_and_elsewhere(self):
+        # x -> 2x + 1 and x -> 3x share only infinity; conjugated by the flip
+        # they share only 0, and a third generator fixing neither breaks it
+        borel = mats(F7, (2, 1, 0, 1), (3, 0, 0, 1))
+        flip = Mat2(F7, 0, 1, 1, 0)
+        flipped = [flip * g * flip for g in borel]
+        assert assert_common_line_matches_search(F7, borel) is True
+        assert assert_common_line_matches_search(F7, flipped) is True
+        assert assert_common_line_matches_search(F7, borel + [flip]) is False
 
 
 class TestClosure:

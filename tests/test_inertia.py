@@ -1,8 +1,10 @@
 """Tame inertia orders, index bounds, and the local exceptional-image
-verdicts, with honest group-theoretic oracles for the order formulas."""
+verdicts, with honest group-theoretic oracles for the order formulas, and
+the closed-form eta check against a full j-scan."""
 
 import math
 
+import numpy as np
 import pytest
 
 from galim import inertia
@@ -246,3 +248,52 @@ class TestEtaRoutes:
             inertia.eta_gcd_check(5)
         with pytest.raises(ValueError):
             inertia.eta_candidates(9)
+
+
+def _eta_scan_oracle(primes):
+    """Every j in [1, p-2] tested against the defining conditions."""
+    hits = []
+    for p in primes:
+        j = np.arange(1, p - 1, dtype=np.int64)
+        g = np.gcd(j + 1, p + 1)
+        mask = ((p + 1) // g <= 5) & (j + 1 != (p + 1) // 2)
+        if mask.any():
+            jj = j[mask]
+            bad = jj[np.gcd(jj, p - 1) > 3]
+            for b in bad.tolist():
+                hits.append((p, b))
+    return hits
+
+
+def eta_scan(numbers):
+    """The library's per-prime eta check over a list, as (p, j) pairs."""
+    return [(p, j) for p in numbers for j in inertia._eta_exponents(p, violations=True)]
+
+
+class TestEtaKernel:
+    """The closed-form exponents and gcd filter that eta_gcd_check,
+    eta_candidates and the eta scan share, against the full j-scan."""
+
+    def test_matches_full_scan_on_primes(self):
+        primes = primes_in_range(7, 3000)
+        assert eta_scan(primes) == _eta_scan_oracle(primes)
+
+    def test_empty_on_small_primes(self):
+        primes = primes_in_range(7, 500)
+        hits = eta_scan(primes)
+        assert hits == []
+
+    def test_empty_even_for_composite_inputs(self):
+        # p = n(j+1) - 1 with n in {3,4,5} forces gcd(j, p-1) = gcd(j, n-2)
+        # to be at most 3, and the quotient-2 case is the excluded
+        # midpoint, so emptiness holds for every odd p of this shape, prime
+        # or not; a composite-rich range has more divisors of p+1 than
+        # primes do, so it is also checked against the full scan
+        fake = list(range(9, 600, 2))
+        hits = eta_scan(fake)
+        assert hits == []
+        assert hits == _eta_scan_oracle(fake)
+
+    def test_rejects_small_primes(self):
+        with pytest.raises(ValueError):
+            eta_scan([5, 7])

@@ -1,8 +1,7 @@
 """Kernel checks against independent routes: exact rational Bernoulli numbers,
 the O(p^2) Pascal-row convolution and the Newton route with factorials from
-Python loops and 64-bit Kronecker slots for the Newton-inversion table, a
-schoolbook product for its Kronecker multiply, and a full j-scan oracle for the
-closed-form eta check."""
+Python loops and 64-bit Kronecker slots for the Newton-inversion table, and a
+schoolbook product for its Kronecker multiply."""
 
 import numpy as np
 import pytest
@@ -203,44 +202,3 @@ class TestBernoulliKernel:
         monkeypatch.setattr(kernels, "np", None)
         with pytest.raises(ValueError, match="needs a prime p"):
             kernels.bernoulli_table_mod(n)
-
-
-def _eta_scan_oracle(primes):
-    """Every j in [1, p-2] tested against the defining conditions."""
-    hits = []
-    for p in primes:
-        j = np.arange(1, p - 1, dtype=np.int64)
-        g = np.gcd(j + 1, p + 1)
-        mask = ((p + 1) // g <= 5) & (j + 1 != (p + 1) // 2)
-        if mask.any():
-            jj = j[mask]
-            bad = jj[np.gcd(jj, p - 1) > 3]
-            for b in bad.tolist():
-                hits.append((p, b))
-    return hits
-
-
-class TestEtaKernel:
-    def test_matches_full_scan_on_primes(self):
-        primes = arith.primes_in_range(7, 3000)
-        assert kernels.eta_scan(primes) == _eta_scan_oracle(primes)
-
-    def test_empty_on_small_primes(self):
-        primes = arith.primes_in_range(7, 500)
-        hits = kernels.eta_scan(primes)
-        assert hits == []
-
-    def test_empty_even_for_composite_inputs(self):
-        # p = n(j+1) - 1 with n in {3,4,5} forces gcd(j, p-1) = gcd(j, n-2)
-        # to be at most 3, and the quotient-2 case is the excluded
-        # midpoint, so emptiness holds for every odd p of this shape, prime
-        # or not; a composite-rich range has more divisors of p+1 than
-        # primes do, so it is also checked against the full scan
-        fake = list(range(9, 600, 2))
-        hits = kernels.eta_scan(fake)
-        assert hits == []
-        assert hits == _eta_scan_oracle(fake)
-
-    def test_rejects_small_primes(self):
-        with pytest.raises(ValueError):
-            kernels.eta_scan([5, 7])
