@@ -11,9 +11,10 @@ Three witness families, one per construction route:
 
 ``scan`` runs any of them (plus the gcd check and the class-number growth
 ratio) over a prime range in one per-prime loop on Python ints, optionally
-fanning out to worker processes.  Workers get contiguous subranges, cut at
-exact integer bounds, and results are merged in range order, so the output
-is byte-identical for every job count.
+fanning out to worker processes.  The growth ratio reads class numbers that
+``quadforms.class_numbers`` counts for a whole chunk in one pass.  Workers
+get contiguous subranges, cut at exact integer bounds, and results are
+merged in range order, so the output is byte-identical for every job count.
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int], int]
         skipped[reason] = skipped.get(reason, 0) + 1
 
     primes = arith.primes_in_range(lo, hi)
+    if kind == "brauer_siegel":
+        # one batched pass over the chunk's discriminants, every one of them
+        # validated before any form is enumerated
+        hs = quadforms.class_numbers(-p for p in primes if p >= 7 and p % 4 == 3)
     for p in primes:
         if p < 7:
             skip("below_domain")
@@ -184,7 +189,7 @@ def _scan_chunk(kind: str, lo: int, hi: int) -> tuple[list, dict[str, int], int]
             if p % 4 != 3:
                 skip("not_3_mod_4")
                 continue
-            h = quadforms.class_number(-p)
+            h = hs[-p]
             items.append({"p": p, "h": h, "ratio": _brauer_siegel_ratio(p, h)})
         else:
             raise ValueError(f"unknown scan kind {kind!r}")

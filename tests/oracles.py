@@ -7,6 +7,7 @@ from math import isqrt
 import numpy as np
 
 from galim.cyclotomic import CycloValue
+from galim.quadforms import QuadForm
 
 
 def representation_counts(form, bound: int) -> np.ndarray:
@@ -28,6 +29,27 @@ def representation_counts(form, bound: int) -> np.ndarray:
     vals = a * xx * xx + b * xx * yy + c * yy * yy
     mask = (vals >= 1) & (vals <= bound)
     return np.bincount(vals[mask], minlength=bound + 1)
+
+
+def reduced_forms_oracle(d: int) -> tuple:
+    """Every reduced form of discriminant d, sorted, by trying each pair
+    (a, b) with 3a^2 <= -d and b of d's parity in [0, a] on its own: the
+    oracle of ``quadforms.reduced_forms`` and ``class_numbers``, which serve
+    a whole batch of discriminants from one pass over a."""
+    out = []
+    for a in range(1, isqrt(-d // 3) + 1):
+        # b must match the parity of d and satisfy 4a | b^2 - d
+        for b in range(d % 2, a + 1, 2):
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            out.append(QuadForm(a, b, c))
+            if 0 < b < a and a < c:
+                out.append(QuadForm(a, -b, c))
+    return tuple(sorted(out))
 
 
 def serialize(obj):

@@ -6,11 +6,13 @@ console-script test confirms the installed entry point end to end.
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import random
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -373,6 +375,24 @@ class TestScanCli:
         lines = out.strip().splitlines()
         assert lines[0] == "p,h,ratio"
         assert lines[1].startswith("7,1,")
+
+    def test_brauer_siegel_batches_do_not_depend_on_jobs(self, capsys):
+        # each chunk is its own batch of discriminants; the bytes are those of
+        # the one-prime-at-a-time route
+        argv = ["scan", "brauer_siegel", "--from", "7", "--to", "20000", "--format", "json"]
+        base = invoke(argv, capsys)
+        assert base[0] == 0
+        assert hashlib.md5(base[1].encode()).hexdigest() == "1a10f86431e3b73f3c827bbd745d2b9f"
+        assert invoke(argv + ["--jobs", "2"], capsys) == base
+
+    def test_brauer_siegel_refuses_the_domain_limit_first(self, capsys):
+        # every discriminant of the window is checked before any form is
+        # enumerated, so the primes below the limit cost no O(p) pass first
+        start = time.perf_counter()
+        got = invoke(["scan", "brauer_siegel", "--from", "99999800", "--to", "100000100"], capsys)
+        elapsed = time.perf_counter() - start
+        assert got == (1, "", "usage error: reduced forms need p <= 100000000, got 100000007\n")
+        assert elapsed < 2.0
 
     def test_csv_hida_drops_exact_theta_column(self, capsys):
         rc, out, _ = invoke(

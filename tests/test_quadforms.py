@@ -2,6 +2,7 @@
 class groups, characters, theta series, and the analytic cross-check."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ from galim import quadforms as qf
 from galim import witness
 from galim.arith import InternalInconsistencyError, factorize, is_prime, primes_in_range
 from galim.cyclotomic import CycloValue
-from oracles import representation_counts
+from oracles import reduced_forms_oracle, representation_counts
 
 # classical class numbers h(-p) for prime p = 3 mod 4
 KNOWN_H = {
@@ -278,12 +279,12 @@ class TestClassNumber:
         assert qf.reduced_forms.cache_info().misses == misses
 
     def test_reduced_forms_refuse_p_above_the_limit(self):
-        # refused before the O(p) loop: class_number and the brauer_siegel
-        # scan have an explicit limit too
+        # refused before the O(p) loop: class_number and the batched route
+        # of the brauer_siegel scan have an explicit limit too
         p = qf.ANALYTIC_MAX_P + 1
         while p % 4 != 3 or not is_prime(p):
             p += 1
-        for route in (qf.reduced_forms, qf.class_number):
+        for route in (qf.reduced_forms, qf.class_number, lambda d: qf.class_numbers([d])):
             with pytest.raises(ValueError, match=f"reduced forms need p <= {qf.ANALYTIC_MAX_P}, got {p}"):
                 route(-p)
 
@@ -291,6 +292,104 @@ class TestClassNumber:
         for p in KNOWN_H:
             h = qf.class_number(-p)
             assert h % 2 == 1 and math.gcd(h, p) == 1
+
+
+ADMISSIBLE_BELOW_30000 = [p for p in primes_in_range(7, 29999) if p % 4 == 3]
+
+
+@functools.cache
+def oracle_forms(p):
+    return reduced_forms_oracle(-p)
+
+
+def forms_by_prime(triples):
+    """The forms that ``_reduced_triples`` yields, (a, -b, c) added when
+    b < a < c, sorted per prime."""
+    out = {}
+    for p, a, b, c in triples:
+        out.setdefault(p, []).append(qf.QuadForm(a, b, c))
+        if b < a < c:
+            out[p].append(qf.QuadForm(a, -b, c))
+    return {p: tuple(sorted(forms)) for p, forms in out.items()}
+
+
+class TestBatchedClassNumbers:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(ADMISSIBLE_BELOW_30000), min_size=1, max_size=60))
+    @example([7])
+    @example([29983, 7, 29983, 11])
+    def test_batches_match_the_oracle(self, batch):
+        # unsorted, with duplicates: one entry per discriminant, first-seen order
+        want = {-p: len(oracle_forms(p)) for p in batch}
+        got = qf.class_numbers([-p for p in batch])
+        assert got == want and list(got) == list(want)
+        for p in set(batch):
+            assert qf.reduced_forms(-p) == oracle_forms(p)
+
+    def test_empty_batch(self):
+        assert qf.class_numbers([]) == {}
+        assert list(qf._reduced_triples([])) == []
+
+    def test_small_and_large_primes_in_one_batch(self):
+        # p = 7 drops out of the buckets after a = 1, the primes near 30,000
+        # stay in them up to a = 99
+        near = [p for p in ADMISSIBLE_BELOW_30000 if p > 29800]
+        batch = [near[0], 7, *near[1:], 11, 7]
+        assert qf.class_numbers(-p for p in batch) == {-p: len(oracle_forms(p)) for p in batch}
+        assert forms_by_prime(qf._reduced_triples(batch)) == {p: oracle_forms(p) for p in batch}
+
+    def test_primes_on_both_sides_of_the_largest_a(self):
+        # for each a, the largest admissible prime below 3a^2, which has no
+        # form with that a, and the least one above it, which may have one
+        batch = []
+        for a in range(2, 100):
+            cut = 3 * a * a
+            batch.append(max(p for p in ADMISSIBLE_BELOW_30000 if p < cut))
+            batch.append(min(p for p in ADMISSIBLE_BELOW_30000 if p >= cut))
+        reached = [p for p in batch if oracle_forms(p)[-1].a == math.isqrt(p // 3)]
+        assert {23, 47, 71, 239} <= set(reached)
+        assert qf.class_numbers(-p for p in batch) == {-p: len(oracle_forms(p)) for p in batch}
+        assert forms_by_prime(qf._reduced_triples(batch)) == {p: oracle_forms(p) for p in batch}
+
+    @pytest.mark.parametrize("p,edge", [
+        (15, (2, 1, 2)),   # a = c
+        (35, (3, 1, 3)),   # a = c
+        (39, (3, 3, 4)),   # b = a
+        (27, (3, 3, 3)),   # b = a = c
+        (75, (5, 5, 5)),   # b = a = c
+    ])
+    def test_boundary_forms_of_composite_discriminants(self, p, edge):
+        # for prime p, b = a happens only in the principal form and a = c
+        # never, since 4a^2 - b^2 = (2a - b)(2a + b); the pass does not
+        # validate its primes, so composite p exercise both boundaries, where
+        # (a, -b, c) is not reduced
+        forms = forms_by_prime(qf._reduced_triples([p]))[p]
+        a, b, c = edge
+        assert qf.QuadForm(a, b, c) in forms and qf.QuadForm(a, -b, c) not in forms
+        assert forms == reduced_forms_oracle(-p)
+
+    def test_a_mutant_analytic_route_is_caught(self, monkeypatch):
+        analytic = qf.class_number_analytic
+        monkeypatch.setattr(qf, "class_number_analytic", lambda d: analytic(d) + 2)
+        msg = "form count 3 != analytic class number for discriminant -23"
+        with pytest.raises(InternalInconsistencyError, match=msg):
+            qf.class_numbers([-23, -7])
+        with pytest.raises(InternalInconsistencyError, match="form count 1 != analytic"):
+            witness.scan("brauer_siegel", 7, 100)
+
+    def test_every_discriminant_is_validated_before_the_pass(self, monkeypatch):
+        p = qf.ANALYTIC_MAX_P + 1
+        while p % 4 != 3 or not is_prime(p):
+            p += 1
+
+        def no_pass(ps):
+            raise AssertionError("forms enumerated before validation")
+
+        monkeypatch.setattr(qf, "_reduced_triples", no_pass)
+        with pytest.raises(ValueError, match=f"reduced forms need p <= {qf.ANALYTIC_MAX_P}, got {p}"):
+            qf.class_numbers([-7, -23, -p])
+        with pytest.raises(ValueError, match="discriminant must be"):
+            qf.class_numbers([-23, -15])
 
 
 class TestComposition:

@@ -155,12 +155,20 @@ class TestScan:
         for cached in (quadforms.reduced_forms, quadforms.class_group, quadforms._splitting_dlog):
             assert cached.cache_info().maxsize == bound
         hi = 20000
-        assert sum(p % 4 == 3 for p in primes_in_range(7, hi)) > bound
+        admissible = [p for p in primes_in_range(7, hi) if p % 4 == 3]
+        assert len(admissible) > bound
+        # the brauer_siegel scan counts its class numbers in one batch per
+        # chunk, outside the reduced-forms cache
+        quadforms.reduced_forms.cache_clear()
         rep = witness.scan("brauer_siegel", 7, hi)
+        assert quadforms.reduced_forms.cache_info().currsize == 0
+        # one prime at a time, class_number fills the cache up to its bound
+        hs = [quadforms.class_number(-p) for p in admissible]
+        assert hs == [r["h"] for r in rep.items]
         assert quadforms.reduced_forms.cache_info().currsize == bound
         unbounded = functools.lru_cache(maxsize=None)(quadforms.reduced_forms.__wrapped__)
         monkeypatch.setattr(quadforms, "reduced_forms", unbounded)
-        assert witness.scan("brauer_siegel", 7, hi) == rep
+        assert [quadforms.class_number(-p) for p in admissible] == hs
         assert unbounded.cache_info().currsize > bound
 
     def test_dims_caches_stay_bounded_over_a_long_lr_scan(self):
