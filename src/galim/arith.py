@@ -1,16 +1,15 @@
 """Exact and modular arithmetic primitives.
 
 Deterministic primality below 2^62, the Kronecker symbol in full generality,
-multiplicative orders, totients, Bernoulli numbers both as exact rationals
-(by the defining convolution) and as a mod-p table (by Newton inversion of
-the even series, ``kernels.bernoulli_table_mod``), irregular indices, and the
-primorial totient-ratio report whose values approach exp(-gamma) =
-0.56146... from below.  ``factorize`` trial-divides by the primes below
-2^16, a list built once per process on its first call, and tests for
-primality only what remains of n >= 2^32.  ``primes_in_range`` sieves only
-its window, by the primes up to the square root of its top, so a window
-high up costs about as little as one near 0; it refuses tops of 2^48 and
-more.
+totients, square roots mod p, irregular indices read from the mod-p
+Bernoulli table (Newton inversion of the even series,
+``kernels.bernoulli_table_mod``), and the primorial totient-ratio report
+whose values approach exp(-gamma) = 0.56146... from below.  ``factorize``
+trial-divides by the primes below 2^16, a list built once per process on
+its first call, and tests for primality only what remains of n >= 2^32.
+``primes_in_range`` sieves only its window, by the primes up to the square
+root of its top, so a window high up costs about as little as one near 0;
+it refuses tops of 2^48 and more.
 """
 
 from __future__ import annotations
@@ -220,14 +219,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted divisors of n >= 1."""
-    ds = [1]
-    for q, e in factorize(n).items():
-        ds = [d * q**i for d in ds for i in range(e + 1)]
-    return sorted(ds)
-
-
 def totient(n: int) -> int:
     if n < 1:
         raise ValueError("totient needs n >= 1")
@@ -235,22 +226,6 @@ def totient(n: int) -> int:
     for q in factorize(n):
         out = out // q * (q - 1)
     return out
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/m)*, by factoring the group order and descending."""
-    if m < 1:
-        raise ValueError("multiplicative_order needs m >= 1")
-    if m == 1:
-        return 1
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    t = totient(m)
-    for q in factorize(t):
-        while t % q == 0 and pow(a, t // q, m) == 1:
-            t //= q
-    return t
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
@@ -290,53 +265,12 @@ def sqrt_mod(a: int, p: int) -> int | None:
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_bern_cache: list[Fraction] = [Fraction(1)]
-
-
-def bernoulli_exact(k: int) -> Fraction:
-    """Exact B_k (B_1 = -1/2) via the defining convolution
-    sum_{j=0}^{k} C(k+1, j) B_j = 0.  Oracle-scale: k up to a few hundred."""
-    if k < 0:
-        raise ValueError("bernoulli_exact needs k >= 0")
-    while len(_bern_cache) <= k:
-        n = len(_bern_cache)  # computing B_n
-        if n > 1 and n % 2 == 1:
-            _bern_cache.append(Fraction(0))
-            continue
-        s = Fraction(0)
-        for j in range(n):
-            if j > 1 and j % 2 == 1:
-                continue
-            s += math.comb(n + 1, j) * _bern_cache[j]
-        _bern_cache.append(-s / (n + 1))
-    return _bern_cache[k]
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Residues of the p-integral Bernoulli numbers B_k mod p for even k in
-    [2, p-3], read from ``kernels.bernoulli_table_mod``."""
-
-    p: int
-    entries: dict[int, int]
-
-    def irregular_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, v in sorted(self.entries.items()) if v == 0)
-
-
-def bernoulli_mod_p(p: int) -> BernoulliTable:
-    return BernoulliTable(p, dict(zip(range(2, p - 2, 2), _even_bernoulli_mod_p(p).tolist())))
-
 
 def irregular_indices(p: int) -> tuple[int, ...]:
-    """Even k in [2, p-3] with B_k = 0 mod p; empty exactly for regular p."""
-    return tuple((2 * np.flatnonzero(_even_bernoulli_mod_p(p) == 0) + 2).tolist())
-
-
-def _even_bernoulli_mod_p(p: int) -> np.ndarray:
-    """B_k mod p for the even k in [2, p-3], in order; the kernel refuses
-    p < 5 and composite p with a ValueError."""
-    return kernels.bernoulli_table_mod(p)[2 : p - 2 : 2]
+    """Even k in [2, p-3] with B_k = 0 mod p; empty exactly for regular p.
+    The table refuses p < 5 and composite p with a ValueError."""
+    even = kernels.bernoulli_table_mod(p)[2 : p - 2 : 2]
+    return tuple((2 * np.flatnonzero(even == 0) + 2).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,21 @@ from .arith import (
 )
 from .cyclotomic import CycloValue
 
-# Largest p for which class_number_analytic evaluates its character sum (it
-# holds (p-1)/2 int64 squares plus a mask, about 4.5p bytes, 450 MB at the
-# limit, and a^2 < 10^16 stays far inside int64).  The reduced forms share
-# the limit, so every class number printed has both routes behind it: their
-# pass over a costs O(p) for the largest p of a batch, and every prime of a
-# batch is checked against the limit before the pass starts.
+# Largest p for which class_number_analytic evaluates its character sum
+# (a^2 < 10^16 stays far inside int64, and the sum takes O(p) time).  The
+# reduced forms share the limit, so every class number printed has both
+# routes behind it: their pass over a costs O(p) for the largest p of a
+# batch, and every prime of a batch is checked against the limit before the
+# pass starts.
 ANALYTIC_MAX_P = 10**8
+# The character sum squares a in blocks of this many int64 values, so it
+# allocates at most about 16 MB at any p; every p < 2^21 is one block.
+_SQUARE_BLOCK = 1 << 20
+# Largest bound theta_coefficients accepts.  Its coefficients cost about
+# 1 KB each: ``galim theta -p 23 --coeffs 100000`` peaks at 139 MB and takes
+# 2.7 s as a whole process on a 2-vCPU x86 host, and 10^6 would take over a
+# gigabyte.
+THETA_MAX_BOUND = 10**5
 
 
 def _check_disc(d: int) -> int:
@@ -181,16 +189,16 @@ def class_numbers(ds: Iterable[int]) -> dict[int, int]:
     """Class number of every discriminant in ds, keyed by discriminant in
     first-seen order, from one ``_reduced_triples`` pass over the batch.
 
-    Every discriminant is validated, and p above ``ANALYTIC_MAX_P`` refused,
-    before any form is enumerated.  Each form count is then checked against
-    ``class_number_analytic`` as ``class_group`` checks it.  The pass does
+    Every discriminant is validated once, and p above ``ANALYTIC_MAX_P``
+    refused, before any form is enumerated.  Each form count is then checked
+    against the character sum as ``class_group`` checks it.  The pass does
     not touch ``reduced_forms``' cache.
     """
     counts = {_check_forms_disc(d): 0 for d in ds}
     for p, a, b, c in _reduced_triples(counts):
         counts[p] += 2 if b < a < c else 1
     for p, h in counts.items():
-        if h != class_number_analytic(-p):
+        if h != _character_sum_class_number(p):
             raise InternalInconsistencyError(
                 f"form count {h} != analytic class number for discriminant {-p}"
             )
@@ -212,17 +220,26 @@ def class_number_analytic(d: int) -> int:
     p = _check_disc(d)
     if p > ANALYTIC_MAX_P:
         raise ValueError(f"analytic class number needs p <= {ANALYTIC_MAX_P}, got {p}")
+    return _character_sum_class_number(p)
+
+
+def _character_sum_class_number(p: int) -> int:
+    """``class_number_analytic`` for a p its callers have validated, with
+    the squares taken ``_SQUARE_BLOCK`` at a time."""
     n = (p - 1) // 2
-    sq = np.arange(1, n + 1, dtype=np.int64)
-    sq *= sq
-    sq %= p
-    total = 2 * int(np.count_nonzero(sq <= n)) - n
+    r = 0
+    for lo in range(1, n + 1, _SQUARE_BLOCK):
+        sq = np.arange(lo, min(lo + _SQUARE_BLOCK, n + 1), dtype=np.int64)
+        sq *= sq
+        sq %= p
+        r += int(np.count_nonzero(sq <= n))
+    total = 2 * r - n
     denom = 2 - kronecker(2, p)
     if total % denom:
         raise InternalInconsistencyError(f"character sum {total} not divisible by {denom}")
     h = total // denom
     if h <= 0:
-        raise InternalInconsistencyError(f"nonpositive class number {h} for {d}")
+        raise InternalInconsistencyError(f"nonpositive class number {h} for {-p}")
     return h
 
 
@@ -418,8 +435,9 @@ def _sylow_basis(
 def class_group(d: int) -> ClassGroup:
     """Full class group with discrete logarithms, cross-checked two ways.
 
-    The analytic class number comes first, so a p it refuses is refused
-    before the reduced forms are enumerated; the form count must equal it.
+    A p above ``ANALYTIC_MAX_P`` is refused before the reduced forms are
+    enumerated, with the analytic route's message; below it ``reduced_forms``
+    validates d, and the form count must equal the character sum.
     ``_walks`` lists the powers of each form once, one composition per
     step, and every later power and order is read from that table.  Each
     Sylow q-subgroup is the set of forms whose order divides q^e, q^e
@@ -429,11 +447,13 @@ def class_group(d: int) -> ClassGroup:
     table, every other entry costs one composition.  All of this runs on
     (a, b, c) tuples; the generators and the dlog keys are QuadForms.
     """
-    p = _check_disc(d)
-    h_analytic = class_number_analytic(d)
+    p = -d
+    if p > ANALYTIC_MAX_P:
+        _check_disc(d)
+        raise ValueError(f"analytic class number needs p <= {ANALYTIC_MAX_P}, got {p}")
     reduced = reduced_forms(d)
     h = len(reduced)
-    if h != h_analytic:
+    if h != _character_sum_class_number(p):
         raise InternalInconsistencyError(
             f"form count {h} != analytic class number for discriminant {d}"
         )
@@ -633,10 +653,13 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     ideals of norm n, the local histogram times that of a_(n / l^e), so it
     costs about (ideals of norm n) operations; the raw vector of a_n is
     that histogram, made into one cyclotomic vector at the end.  l is read
-    from a least-prime-factor table of 0..bound, built once per call.
+    from a least-prime-factor table of 0..bound, built once per call, and
+    bound above ``THETA_MAX_BOUND`` is refused before anything is built.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound > THETA_MAX_BOUND:
+        raise ValueError(f"theta coefficients need bound <= {THETA_MAX_BOUND}, got {bound}")
     grp = class_group(d)
     if char.structure != grp.structure:
         raise ValueError("character does not belong to this class group")

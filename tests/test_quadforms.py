@@ -272,6 +272,20 @@ class TestClassNumber:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_analytic_route_squares_in_blocks(self):
+        # an admissible p just under the limit: 48 blocks of
+        # squares, where one array of all (p-1)/2 of them took 429 MB
+        p = 99999959
+        assert p <= qf.ANALYTIC_MAX_P and p % 4 == 3 and is_prime(p)
+        tracemalloc.start()
+        try:
+            h = qf.class_number_analytic(-p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h == 14245
+        assert peak < 32 << 20
+
     def test_class_group_refuses_p_above_the_limit_before_enumerating_forms(self):
         misses = qf.reduced_forms.cache_info().misses
         with pytest.raises(ValueError, match="analytic class number needs p <="):
@@ -369,13 +383,26 @@ class TestBatchedClassNumbers:
         assert forms == reduced_forms_oracle(-p)
 
     def test_a_mutant_analytic_route_is_caught(self, monkeypatch):
-        analytic = qf.class_number_analytic
-        monkeypatch.setattr(qf, "class_number_analytic", lambda d: analytic(d) + 2)
+        analytic = qf._character_sum_class_number
+        monkeypatch.setattr(qf, "_character_sum_class_number", lambda p: analytic(p) + 2)
         msg = "form count 3 != analytic class number for discriminant -23"
         with pytest.raises(InternalInconsistencyError, match=msg):
             qf.class_numbers([-23, -7])
         with pytest.raises(InternalInconsistencyError, match="form count 1 != analytic"):
             witness.scan("brauer_siegel", 7, 100)
+
+    def test_every_discriminant_is_proven_prime_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qf, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert qf.class_numbers([-23, -47]) == {-23: 3, -47: 5}
+        assert calls == [23, 47]
+        calls.clear()
+        qf.reduced_forms.cache_clear()
+        qf.class_group.cache_clear()
+        assert qf.class_group(-47).order == 5
+        # the CLI's classgroup report reads the forms class_group cached
+        assert qf.reduced_forms(-47) == reduced_forms_oracle(-47)
+        assert calls == [47]
 
     def test_every_discriminant_is_validated_before_the_pass(self, monkeypatch):
         p = qf.ANALYTIC_MAX_P + 1
@@ -809,6 +836,21 @@ class TestTheta:
         char47 = qf.characters(-47)[1]
         with pytest.raises(ValueError):
             qf.theta_coefficients(-23, char47, 10)
+
+    def test_bound_above_the_limit_refused_before_any_table(self):
+        # 10^5 coefficients take about 140 MB; the refusal allocates next
+        # to nothing, even for a bound whose factor table alone would not fit
+        char = qf.characters(-23)[1]
+        tracemalloc.start()
+        try:
+            for bound in (qf.THETA_MAX_BOUND + 1, 10**12):
+                with pytest.raises(ValueError, match=f"need bound <= {qf.THETA_MAX_BOUND}, got {bound}"):
+                    qf.theta_coefficients(-23, char, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qf.THETA_MAX_BOUND == 10**5
+        assert peak < 1 << 20
 
 
 class TestRepresentationCounts:
