@@ -1,9 +1,11 @@
 """The hot numeric loop: the mod-p Bernoulli table in numpy.
 
-The Bernoulli table comes from Newton inversion of a power series with
-Kronecker-substitution products in slots of as few bytes as the
-coefficients need; its factorials and series coefficients are index lookups
-into the powers of a primitive root, with no loop of length p in Python.
+The Bernoulli table comes from Newton inversion of a power series to half
+its length and one Karp-Markstein quotient step, with Kronecker-substitution
+products in 4-byte slots for p up to 2579 and in slots of as few bytes as
+the coefficients need above; its factorials and series coefficients are
+index lookups into the powers of a primitive root, with no loop of length p
+in Python.
 The O(p^2) convolution, and the Newton route with Python-loop factorials
 and 64-bit slots, are kept in the tests as its oracles.
 
@@ -41,7 +43,9 @@ def bernoulli_table_mod(p: int) -> np.ndarray:
     with C(y) = sum_k y^k / (4^k (2k)!) and S(y) = sum_k y^k / (4^k (2k+1)!)
     the series of cosh(x/2) and sinh(x/2) / (x/2), for k = 0..(p-3)/2.
     Every factorial involved is at most (p-2)!, hence invertible mod p.
-    B_1 = -1/2 and the odd B_k, k >= 3, vanish.
+    B_1 = -1/2 and the odd B_k, k >= 3, vanish.  1/S is inverted to half
+    the length and C/S completed by one Karp-Markstein step (Karp and
+    Markstein 1997).
 
     Every residue the series need is a power of a primitive root g: with
     the powers g^i, i = 0..p-2, and their inverse index dlog, log j! is a
@@ -75,22 +79,28 @@ def bernoulli_table_mod(p: int) -> np.ndarray:
     log_4k = np.arange(n, dtype=np.int64) * dlog[4]
     c = power[-(log_4k + log_fact[0::2]) % (p - 1)]
     s = power[-(log_4k + log_fact[1::2]) % (p - 1)]
-    # inv = 1/S mod y^m: the first 16 terms from inv_k = -sum_{j=1..k}
-    # s_j inv_(k-j), which beats that many tiny products, then doubling m:
-    # inv <- inv (2 - S inv).  S inv = 1 + y^m e mod y^2m, so only e and
-    # inv e need computing
-    m = min(n, 16)
+    # inv = 1/S mod y^m up to m = h = ceil(n/2): the first 16 terms from
+    # inv_k = -sum_{j=1..k} s_j inv_(k-j), which beats that many tiny
+    # products, then doubling m: inv <- inv (2 - S inv).  S inv = 1 + y^m e
+    # mod y^2m, so only e and inv e need computing
+    h = -(-n // 2)
+    m = min(h, 16)
     head = s[:m].tolist()
     inv = [1]
     for k in range(1, m):
         inv.append(-sum(x * y for x, y in zip(head[1 : k + 1], reversed(inv))) % p)
     inv = np.asarray(inv, dtype=np.uint64)
-    while m < n:
-        m2 = min(2 * m, n)
+    while m < h:
+        m2 = min(2 * m, h)
         e = _mul_mod(s[:m2], inv, p, m2)[m:]
         inv = np.concatenate([inv, (p - _mul_mod(inv, e, p, m2 - m)) % p])
         m = m2
-    ratio = _mul_mod(c, inv, p, n)
+    # C/S mod y^n by one Karp-Markstein step: q0 = C inv is right mod y^h,
+    # C - S q0 = y^h r mod y^n, and C/S = q0 + y^h (inv r mod y^(n-h)), as
+    # n - h <= h; no product has both operands longer than h
+    q0 = _mul_mod(c, inv, p, h)
+    r = (c[h:] + p - _mul_mod(s, q0, p, n)[h:]) % p
+    ratio = np.concatenate([q0, _mul_mod(inv, r, p, n - h)])
     B = np.zeros(p - 2, dtype=np.int64)
     B[0::2] = power[log_fact[0::2]] * ratio % p
     B[1] = (p - 1) // 2
@@ -127,19 +137,26 @@ def _mul_mod(a, b, p: int, n: int) -> np.ndarray:
     """First n coefficients of a*b mod p, as uint64, for residue sequences a
     and b, by Kronecker substitution on Python ints.
 
-    A coefficient of the exact product is at most min(len a, len b)(p-1)^2,
-    so it fits a slot of w = ceil(bitlen/8) bytes of that bound: 4 bytes for
-    a full table at p < 2000.  A slot of at most 8 bytes is read back as one
-    64-bit word; a wider one, up to p < 2^31, as two 64-bit limbs.
+    A coefficient of the exact product is at most min(len a, len b)(p-1)^2.
+    When that bound fits 4 bytes, as it does for every product of a table at
+    p <= 2579, a and b are packed in 4-byte slots and the product is read
+    back as one uint32 array.  A wider bound gets slots of w = ceil(bitlen/8)
+    bytes, read back as one 64-bit word up to w = 8 and as two 64-bit limbs
+    beyond, up to p < 2^31.
     """
-    a = np.ascontiguousarray(a[:n], dtype="<u8")
-    b = np.ascontiguousarray(b[:n], dtype="<u8")
+    a, b = a[:n], b[:n]
     w = -(-(min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8)
+    size = max(len(a) + len(b) - 1, n)
+    if w <= 4:
+        prod = int.from_bytes(np.asarray(a, dtype="<u4").tobytes(), "little")
+        prod *= int.from_bytes(np.asarray(b, dtype="<u4").tobytes(), "little")
+        return np.frombuffer(prod.to_bytes(4 * size, "little"), dtype="<u4", count=n) % np.uint64(p)
+    a = np.ascontiguousarray(a, dtype="<u8")
+    b = np.ascontiguousarray(b, dtype="<u8")
     limbs = 1 if w <= 8 else 2
     prod = _pack(a, w) * _pack(b, w)
-    size = max(len(a) + len(b) - 1, n) * w
     slots = np.zeros((n, 8 * limbs), dtype=np.uint8)
-    slots[:, :w] = np.frombuffer(prod.to_bytes(size, "little"), dtype=np.uint8, count=n * w).reshape(n, w)
+    slots[:, :w] = np.frombuffer(prod.to_bytes(size * w, "little"), dtype=np.uint8, count=n * w).reshape(n, w)
     out = slots.view("<u8") % p
     if limbs == 1:
         return out.ravel()

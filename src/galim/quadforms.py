@@ -194,7 +194,7 @@ def class_numbers(ds: Iterable[int]) -> dict[int, int]:
     against the character sum as ``class_group`` checks it.  The pass does
     not touch ``reduced_forms``' cache.
     """
-    counts = {_check_forms_disc(d): 0 for d in ds}
+    counts = {_check_forms_disc(d): 0 for d in dict.fromkeys(ds)}
     for p, a, b, c in _reduced_triples(counts):
         counts[p] += 2 if b < a < c else 1
     for p, h in counts.items():

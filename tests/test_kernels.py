@@ -125,9 +125,17 @@ class TestBernoulliKernel:
     @example(5)
     @example(7)
     @example(11)
+    @example(29)
+    @example(31)
+    @example(37)
+    @example(67)
+    @example(71)
+    @example(131)
     def test_matches_convolution_oracle(self, p):
         # whole arrays, B_1 and the vanishing odd indices included; 5, 7 and
-        # 11 give the shortest Newton series (one, two and three terms)
+        # 11 give the shortest Newton series (one, two and three terms); the
+        # inverse stops at h = ceil((p-1)/4) terms, below the 16-term head at
+        # 29, 31 and 37 and just past it at 67, 71 and 131
         table = kernels.bernoulli_table_mod(p)
         assert table.dtype == np.int64
         assert np.array_equal(table, _bernoulli_table_oracle(p))
@@ -178,9 +186,26 @@ class TestBernoulliKernel:
         for n in (1699, 1000, 400):
             assert np.array_equal(kernels._mul_mod(a, b, p, n), _word_slot_mul_mod(a, b, p, n))
 
-    @pytest.mark.parametrize("p", [4001, 10007, 30011])
+    # 2579 is the last prime whose table is all 4-byte slots
+    @pytest.mark.parametrize("p", [1999, 2579, 4001, 10007, 30011])
     def test_matches_word_slot_newton_route(self, p):
         assert np.array_equal(kernels.bernoulli_table_mod(p), _newton_table_oracle(p))
+
+    @pytest.mark.parametrize("p", [1999, 4001, 10007])
+    def test_no_product_has_both_operands_longer_than_half(self, p, monkeypatch):
+        # the inverse stops at h = ceil(n/2) terms and one Karp-Markstein
+        # step gives the quotient, so no n x n product is left
+        shorter = []
+        mul_mod = kernels._mul_mod
+
+        def counted(a, b, q, m):
+            shorter.append(min(len(a[:m]), len(b[:m])))
+            return mul_mod(a, b, q, m)
+
+        monkeypatch.setattr(kernels, "_mul_mod", counted)
+        kernels.bernoulli_table_mod(p)
+        h = -(-(p - 1) // 4)
+        assert max(shorter) <= h
 
     def test_primitive_root_is_the_least(self):
         # the primes of p-1 come from arith.factorize

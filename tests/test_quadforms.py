@@ -394,7 +394,8 @@ class TestBatchedClassNumbers:
     def test_every_discriminant_is_proven_prime_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(qf, "is_prime", lambda n: calls.append(n) or is_prime(n))
-        assert qf.class_numbers([-23, -47]) == {-23: 3, -47: 5}
+        # a repeated discriminant is validated once too
+        assert qf.class_numbers([-23, -47, -23]) == {-23: 3, -47: 5}
         assert calls == [23, 47]
         calls.clear()
         qf.reduced_forms.cache_clear()
