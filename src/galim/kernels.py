@@ -1,11 +1,17 @@
 """The hot numeric loop: the mod-p Bernoulli table in numpy.
 
 The Bernoulli table comes from Newton inversion of a power series to half
-its length and one Karp-Markstein quotient step, with Kronecker-substitution
-products in 4-byte slots for p up to 2579 and in slots of as few bytes as
-the coefficients need above; its factorials and series coefficients are
-index lookups into the powers of a primitive root, with no loop of length p
-in Python.
+its length and one Karp-Markstein quotient step; its factorials and series
+coefficients are index lookups into the powers of a primitive root, with no
+loop of length p in Python.  Its polynomial products take one of two routes.
+Products of two operands of at least ``_FFT_MIN_TERMS`` terms go through a
+float64 FFT of balanced residues whenever Percival's error bound proves
+that rounding gives the exact integer product, as it does for every such
+product of a table up to p = 37423; a run-time guard raises
+``InternalInconsistencyError`` if a coefficient ever lands more than 1/8
+from an integer.  Short operands, and products beyond the bound, go by
+Kronecker substitution on Python ints, in 4-byte slots when the
+coefficient bound fits them and in slots of as few bytes as it needs above.
 The O(p^2) convolution, and the Newton route with Python-loop factorials
 and 64-bit slots, are kept in the tests as its oracles.
 
@@ -131,11 +137,85 @@ def _powers(g: int, p: int) -> np.ndarray:
     return table.ravel()[: p - 1]
 
 
+# Below this many terms on the shorter side, the one C multiply of the
+# Kronecker route beats the two FFT calls, which cost 50-60 us inside a
+# table whatever the length: at p = 601, 150 x 150 terms took 40 us by
+# Kronecker and 60 by FFT.  Whole tables, interleaved in one process, put
+# the crossover here: at 128 those with 509 <= p <= 709 took 13-20% longer
+# than by Kronecker alone, at 192 none did, and at 256 the tables with
+# 811 <= p <= 1013 lost the 10% that 192 saves
+_FFT_MIN_TERMS = 192
+
+
 # private so that the per-layer trace, which wraps public names only, keeps
 # the time inside bernoulli_table_mod
 def _mul_mod(a, b, p: int, n: int) -> np.ndarray:
     """First n coefficients of a*b mod p, as uint64, for residue sequences a
-    and b, by Kronecker substitution on Python ints.
+    and b, zero-padded beyond len a + len b - 1.
+
+    Two routes give the same array.  When both operands have at least
+    ``_FFT_MIN_TERMS`` terms and ``_fft_is_exact`` proves that a float64 FFT
+    rounds to the exact product, the product comes from ``_fft_mul_mod``,
+    in about L log L; that covers every long product of a table up to
+    p = 37423.  Short operands and products beyond the bound go by
+    Kronecker substitution, ``_kronecker_mul_mod``, in about L^1.58.
+    """
+    la, lb = min(len(a), n), min(len(b), n)
+    if min(la, lb) >= _FFT_MIN_TERMS and _fft_is_exact(la, lb, p):
+        return _fft_mul_mod(a, b, p, n)
+    return _kronecker_mul_mod(a, b, p, n)
+
+
+def _fft_is_exact(la: int, lb: int, p: int) -> bool:
+    """Whether a float64 FFT product of la and lb balanced residues mod p
+    lands within 1/8 of the exact integer product.
+
+    With |x| <= X = (p-1)/2 and a length N = 2^k >= la + lb - 1, Percival's
+    bound (Math. Comp. 72, 2003) on the error of every coefficient is
+    ||a||_2 ||b||_2 ((1+e)^3k (1+e sqrt 5)^(3k+1) (1+beta)^3k - 1), with
+    e = 2^-53 and the error beta of the roots of unity at most e; that is
+    below E = sqrt(la lb) X^2 2^-53 (16k + 3).  E <= 1/8 is tested in
+    integers, as la lb X^4 (16k + 3)^2 <= 2^100.
+    """
+    k = (la + lb - 2).bit_length()
+    x = (p - 1) // 2
+    return la * lb * x**4 * (16 * k + 3) ** 2 <= 1 << 100
+
+
+def _fft_mul_mod(a, b, p: int, n: int) -> np.ndarray:
+    """``_mul_mod`` by a real FFT in float64, for operands that
+    ``_fft_is_exact`` admits.
+
+    The residues are taken balanced, in [-(p-1)/2, (p-1)/2], the product is
+    irfft(rfft(a) rfft(b)) at the least power-of-two length that holds it,
+    and each coefficient is rounded to the nearest integer.  The bound puts
+    every coefficient within 1/8 of an integer; a larger distance raises
+    ``InternalInconsistencyError`` instead of returning a table.
+    ``np.fft`` is reached by attribute, so numpy loads it only when a table
+    needs it.
+    """
+    a, b = a[:n], b[:n]
+    size = len(a) + len(b) - 1
+    length = 1 << (size - 1).bit_length()
+    # both operands in one array, so one rfft call transforms them
+    pair = np.zeros((2, length))
+    pair[0, : len(a)] = a
+    pair[1, : len(b)] = b
+    np.subtract(pair, p, out=pair, where=pair > (p - 1) // 2)
+    fa, fb = np.fft.rfft(pair)
+    prod = np.fft.irfft(fa * fb, length)[:n]
+    exact = np.rint(prod)
+    if np.abs(prod - exact).max() > 0.125:
+        from .arith import InternalInconsistencyError
+
+        raise InternalInconsistencyError(f"FFT product mod {p} strays from the integers")
+    out = (exact.astype(np.int64) % p).view(np.uint64)
+    # the coefficients past the transform length are zero
+    return np.pad(out, (0, n - length)) if n > length else out
+
+
+def _kronecker_mul_mod(a, b, p: int, n: int) -> np.ndarray:
+    """``_mul_mod`` by Kronecker substitution on Python ints.
 
     A coefficient of the exact product is at most min(len a, len b)(p-1)^2.
     When that bound fits 4 bytes, as it does for every product of a table at

@@ -269,13 +269,6 @@ def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     return q * d % m, m // g
 
 
-def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
-    """Composition of proper equivalence classes, returned reduced."""
-    if f1.discriminant() != f2.discriminant():
-        raise ValueError("cannot compose forms of different discriminants")
-    return QuadForm(*_compose(_abc(f1), _abc(f2)))
-
-
 def _compose(f1: _Form, f2: _Form) -> _Form:
     if f1 == f2:
         return _square(*f1)
@@ -577,20 +570,13 @@ class PrimeSplitting:
     principal: bool | None = None
 
 
-def prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
-    """Class(es) of the prime ideals over ell, with a canonical split choice.
+def _prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
+    """Class(es) of the prime ideals over ell, with a canonical split choice,
+    for a d and a prime ell already validated.
 
     For split ell the first form uses b = the odd lift of the least square
     root of d mod ell into (0, 2*ell); the second is its inverse class.
     """
-    _check_disc(d)
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    return _prime_ideal_class(d, ell)
-
-
-def _prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
-    """``prime_ideal_class`` for a d and a prime ell already validated."""
     p = -d
     sym = kronecker(d, ell)
     if sym == -1:

@@ -1,7 +1,8 @@
 """Kernel checks against independent routes: exact rational Bernoulli numbers,
 the O(p^2) Pascal-row convolution and the Newton route with factorials from
-Python loops and 64-bit Kronecker slots for the Newton-inversion table, and a
-schoolbook product for its Kronecker multiply."""
+Python loops and 64-bit Kronecker slots for the Newton-inversion table, a
+schoolbook product for its Kronecker multiply, and the Kronecker multiply for
+its FFT multiply."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galim import arith, kernels
+from galim.arith import InternalInconsistencyError
 from oracles import bernoulli_exact, multiplicative_order
 
 
@@ -109,6 +111,26 @@ SLOT_ROWS = [
 ]
 
 
+# the last prime whose every table product the FFT bound admits
+FFT_LAST_P = 37423
+# operand lengths on both sides of the FFT route's threshold
+LENGTHS = st.one_of(st.integers(1, 2 * kernels._FFT_MIN_TERMS), st.integers(2 * kernels._FFT_MIN_TERMS, 4000))
+
+
+@pytest.fixture
+def irfft_outputs(monkeypatch):
+    """Every float array that np.fft.irfft returns, kept for inspection."""
+    irfft = np.fft.irfft
+    floats = []
+
+    def kept(*args, **kwargs):
+        floats.append(irfft(*args, **kwargs))
+        return floats[-1]
+
+    monkeypatch.setattr(np.fft, "irfft", kept)
+    return floats
+
+
 class TestBernoulliKernel:
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 37, 101])
     def test_matches_exact_rationals(self, p):
@@ -159,8 +181,8 @@ class TestBernoulliKernel:
         a = [x % p for x in a]
         b = [x % p for x in b]
         want = _schoolbook_mod(a, b, p)
-        assert kernels._mul_mod(a, b, p, len(want)).tolist() == want
-        assert kernels._mul_mod(a, b, p, 30).tolist() == want[:30]
+        assert kernels._kronecker_mul_mod(a, b, p, len(want)).tolist() == want
+        assert kernels._kronecker_mul_mod(a, b, p, 30).tolist() == want[:30]
 
     @pytest.mark.parametrize("p, L", SLOT_ROWS)
     @settings(max_examples=15)
@@ -173,9 +195,9 @@ class TestBernoulliKernel:
         a = [p - 1] * la if top else data.draw(st.lists(st.integers(0, p - 1), min_size=la, max_size=la))
         b = [p - 1] * lb if top else data.draw(st.lists(st.integers(0, p - 1), min_size=lb, max_size=lb))
         want = _schoolbook_mod(a, b, p)
-        assert kernels._mul_mod(a, b, p, len(want)).tolist() == want
-        assert kernels._mul_mod(a, b, p, L).tolist() == want[:L]
-        assert kernels._mul_mod(np.asarray(a, dtype=np.uint64), b, p, 7).tolist() == want[:7]
+        assert kernels._kronecker_mul_mod(a, b, p, len(want)).tolist() == want
+        assert kernels._kronecker_mul_mod(a, b, p, L).tolist() == want[:L]
+        assert kernels._kronecker_mul_mod(np.asarray(a, dtype=np.uint64), b, p, 7).tolist() == want[:7]
 
     @pytest.mark.parametrize("p", [1999, 4194301, (1 << 31) - 1])
     def test_kronecker_multiply_matches_word_slots(self, p):
@@ -184,9 +206,108 @@ class TestBernoulliKernel:
         a = rng.integers(0, p, 1000, dtype=np.uint64)
         b = rng.integers(0, p, 700, dtype=np.uint64)
         for n in (1699, 1000, 400):
-            assert np.array_equal(kernels._mul_mod(a, b, p, n), _word_slot_mul_mod(a, b, p, n))
+            assert np.array_equal(kernels._kronecker_mul_mod(a, b, p, n), _word_slot_mul_mod(a, b, p, n))
 
-    # 2579 is the last prime whose table is all 4-byte slots
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(arith.primes_in_range(5, FFT_LAST_P)),
+        LENGTHS,
+        LENGTHS,
+        st.integers(1, 8100),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1999, 300, 200, 505, 0)
+    @example(1999, 300, 200, 700, 0)
+    @example(FFT_LAST_P, 4000, 3000, 5000, 1)
+    def test_fft_multiply_matches_kronecker(self, p, la, lb, n, seed):
+        # lengths on both sides of _FFT_MIN_TERMS, and n past la + lb - 1,
+        # where both routes zero-pad: 505 stays inside the FFT's 512 terms,
+        # 700 goes past them; p up to the last prime whose every table
+        # product the bound admits
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, p, la, dtype=np.uint64)
+        b = rng.integers(0, p, lb, dtype=np.uint64)
+        want = kernels._kronecker_mul_mod(a, b, p, n)
+        assert len(want) == n
+        assert np.array_equal(kernels._mul_mod(a, b, p, n), want)
+        assert kernels._fft_is_exact(min(la, n), min(lb, n), p)
+        got = kernels._fft_mul_mod(a, b, p, n)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_fft_multiply_is_exact_at_the_worst_case(self, sign, irfft_outputs):
+        # the table's largest product, n x ceil(n/2) terms, at the last prime
+        # the bound admits, with every term (p-1)/2 of one sign: the largest
+        # coefficients the balanced residues allow
+        p = FFT_LAST_P
+        n = (p - 1) // 2
+        h = -(-n // 2)
+        assert kernels._fft_is_exact(n, h, p)
+        term = (p - 1) // 2 if sign > 0 else (p + 1) // 2
+        a = np.full(n, term, dtype=np.uint64)
+        b = np.full(h, term, dtype=np.uint64)
+        assert np.array_equal(kernels._fft_mul_mod(a, b, p, n), kernels._kronecker_mul_mod(a, b, p, n))
+        [prod] = irfft_outputs
+        assert np.abs(prod - np.rint(prod)).max() < 1 / 64
+
+    def test_fft_multiply_takes_residues_balanced(self, irfft_outputs):
+        # p - 1 enters the transform as -1, so 300 x 200 terms of it give
+        # coefficients of at most 200, not 200 (p-1)^2
+        p = 1999
+        a, b = [p - 1] * 300, [p - 1] * 200
+        assert np.array_equal(kernels._fft_mul_mod(a, b, p, 499), kernels._kronecker_mul_mod(a, b, p, 499))
+        [prod] = irfft_outputs
+        assert np.abs(prod).max() < 200.5
+
+    @pytest.mark.parametrize("p", [1999, 10007])
+    def test_long_products_take_the_fft_route(self, p, monkeypatch):
+        shapes = []
+        kronecker = kernels._kronecker_mul_mod
+
+        def counted(a, b, q, m):
+            shapes.append((len(a[:m]), len(b[:m])))
+            return kronecker(a, b, q, m)
+
+        monkeypatch.setattr(kernels, "_kronecker_mul_mod", counted)
+        kernels.bernoulli_table_mod(p)
+        # only the doubling steps of the inverse from 16 to 256 terms go by
+        # Kronecker; every product with both operands of 192 terms or more
+        # takes the FFT
+        assert all(min(shape) < kernels._FFT_MIN_TERMS for shape in shapes)
+        assert shapes == [(32, 16), (16, 16), (64, 32), (32, 32), (128, 64), (64, 64), (256, 128), (128, 128)]
+
+    def test_bound_admits_every_table_product_up_to_its_last_prime(self, monkeypatch):
+        shapes = []
+        mul_mod = kernels._mul_mod
+
+        def counted(a, b, q, m):
+            shapes.append((len(a[:m]), len(b[:m])))
+            return mul_mod(a, b, q, m)
+
+        monkeypatch.setattr(kernels, "_mul_mod", counted)
+        kernels.bernoulli_table_mod(30011)
+        assert all(kernels._fft_is_exact(la, lb, 30011) for la, lb in shapes)
+        # the largest product of a table, n x ceil(n/2) terms, is admitted up
+        # to FFT_LAST_P and refused from the next prime on
+        for p, admitted in ((FFT_LAST_P, True), (37441, False), (100003, False)):
+            n = (p - 1) // 2
+            assert kernels._fft_is_exact(n, -(-n // 2), p) is admitted, p
+        assert arith.primes_in_range(FFT_LAST_P + 1, 37441) == [37441]
+
+    def test_fft_guard_refuses_a_product_off_the_integers(self, monkeypatch):
+        irfft = np.fft.irfft
+
+        def shifted(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            out[3] += 0.4
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", shifted)
+        with pytest.raises(InternalInconsistencyError):
+            kernels.bernoulli_table_mod(1999)
+
+    # 2579 is the last prime whose Kronecker products all fit 4-byte slots
     @pytest.mark.parametrize("p", [1999, 2579, 4001, 10007, 30011])
     def test_matches_word_slot_newton_route(self, p):
         assert np.array_equal(kernels.bernoulli_table_mod(p), _newton_table_oracle(p))

@@ -18,8 +18,6 @@ ALLOWED = {
     "inertia.eta_candidates": "the closed form of the exponents that eta_gcd_check tests, in the README tour",
     "kernels.active_backend": "recorded by the benchmark's child process on every repetition",
     "quadforms.class_number_analytic": "the validated character-sum route to the class number, in the README tour",
-    "quadforms.compose": "composition of form classes, which the benchmark's reference builder calls",
-    "quadforms.prime_ideal_class": "the validated classes of the primes above ell; theta reads its private core",
 }
 
 

@@ -4,6 +4,8 @@ leaks into a report fails loudly instead of being printed."""
 
 import ast
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,3 +47,13 @@ def test_serialize_refuses_numpy_values():
     for value in (np.int64(5), np.float64(0.5), np.str_("x"), np.bool_(True)):
         with pytest.raises(TypeError):
             cli.serialize(value)
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    # numpy loads np.fft on first attribute access, and only the Bernoulli
+    # table's long products take it, so no command that builds no table pays
+    # for it
+    code = "import sys, galim.cli; print('numpy' in sys.modules, 'numpy.fft' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
