@@ -33,9 +33,9 @@ class InternalInconsistencyError(RuntimeError):
     """Two routes that must agree did not.  Always a bug, never user error."""
 
 
-# Entries kept by each memoised table (cyclotomic polynomials and power
-# tables in cyclotomic, reduced forms, class groups and splitting logs in
-# quadforms, the genus and dimension tables in dims), so memory stays bounded
+# Entries kept by each memoised table (cyclotomic polynomials in
+# cyclotomic, reduced forms, class groups and splitting logs in quadforms,
+# the genus and dimension tables in dims), so memory stays bounded
 # however long a scan runs.  A scan moves through its discriminants and
 # levels in order and never returns to one, so the least recently used
 # entries it drops are never needed again.

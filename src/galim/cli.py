@@ -73,7 +73,7 @@ def serialize(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, CycloValue):
-        return {"order": obj.m, "coeffs": list(obj.canonical())}
+        return {"order": obj.m, "coeffs": list(obj.coeffs)}
     if dataclasses.is_dataclass(obj):
         names = tuple(f.name for f in dataclasses.fields(obj))
         if not isinstance(obj, type):

@@ -1,99 +1,106 @@
 """Exact cyclotomic integers as group-ring vectors.
 
-A value of order m is an integer vector indexed by exponents 0..m-1 in
-Z[x]/(x^m - 1); two vectors represent the same cyclotomic number exactly when
-their difference reduces to zero modulo the m-th cyclotomic polynomial.
-Equality, hashing and serialization all go through that canonical remainder,
-so identities like 1 + zeta_3 + zeta_3^2 = 0 are decided exactly, never with
-floats.
+A value of order m is an element of Z[zeta_m] = Z[x]/(Phi_m), stored as its
+remainder mod the m-th cyclotomic polynomial Phi_m, zero-padded to length m.
+Two vectors in Z[x]/(x^m - 1) are the same number exactly when their
+remainders agree, so equality, hashing and serialization compare the stored
+form, and identities like 1 + zeta_3 + zeta_3^2 = 0 are decided exactly,
+never with floats.  ``cyclotomic_poly`` builds Phi_m from its Moebius
+product, and ``_remainders`` reduces any number of raw vectors of one order
+in a single sweep over the powers of x, keeping no table of them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import CACHE_MAXSIZE
-
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den is monic with integer coefficients, so quotient and remainder stay
-    # integral
-    num = list(num)
-    dn = len(den) - 1
-    if dn == 0:
-        return list(num), []
-    quot = [0] * max(len(num) - dn, 0)
-    for i in range(len(num) - dn - 1, -1, -1):
-        c = num[i + dn]
-        if c:
-            quot[i] = c
-            for j in range(dn + 1):
-                num[i + j] -= c * den[j]
-    return _poly_trim(quot), _poly_trim(num[:dn])
+from .arith import CACHE_MAXSIZE, factorize, totient
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, low degree first."""
+    """Coefficients of the m-th cyclotomic polynomial, low degree first.
+
+    For m > 1, Phi_m is the product of (1 - x^(m/e))^mu(e) over the
+    squarefree divisors e of m, a power series that is a polynomial of
+    degree phi(m), so it is computed mod x^(phi(m) + 1): multiplying by
+    1 - x^k is one pass from the top down, dividing by it one pass from
+    the bottom up, and a factor with k > phi(m) is 1 there.
+    """
     if m < 1:
         raise ValueError("cyclotomic_poly needs m >= 1")
     if m == 1:
         return (-1, 1)
-    num = [0] * (m + 1)
-    num[0] = -1
-    num[m] = 1
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = _poly_divmod_monic(num, list(cyclotomic_poly(d)))
-            if rem:
-                raise ArithmeticError("cyclotomic division left a remainder")
-    return tuple(num)
+    phi = totient(m)
+    poly = [1] + [0] * phi
+    divisors = [(1, 1)]  # squarefree divisors e of m with mu(e)
+    for q in factorize(m):
+        divisors += [(e * q, -mu) for e, mu in divisors]
+    for e, mu in divisors:
+        k = m // e
+        if mu == 1:
+            for i in range(phi, k - 1, -1):
+                poly[i] -= poly[i - k]
+        else:
+            for i in range(k, phi + 1):
+                poly[i] += poly[i - k]
+    if poly[phi] != 1:
+        raise ArithmeticError("cyclotomic product is not monic of degree phi(m)")
+    return tuple(poly)
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _high_powers(m: int) -> tuple[tuple[int, ...], ...]:
-    """Rows x^k mod Phi_m for phi(m) <= k < m, each of length phi(m).
+def _remainders(m: int, vectors) -> list[list[int]]:
+    """Remainders mod Phi_m of raw vectors of order m, each as its phi(m)
+    low coefficients.  A vector is an iterable of (exponent, coefficient)
+    pairs with exponents in 0..m-1.
 
-    Built by shift-and-subtract: x^phi = -(Phi_m - x^phi), and x times a
-    row shifts it up, the coefficient t pushed to x^phi coming back as t
-    times that first row.  The table holds (m - phi(m)) * phi(m) integers.
+    One sweep walks the rows x^k mod Phi_m for k from phi(m) up to the
+    largest exponent present, each made from the one before by
+    shift-and-subtract: x^phi = -(Phi_m - x^phi), and x times a row shifts
+    it up, the coefficient t pushed to x^phi coming back as t times that
+    first row.  Row k adds c times itself into every vector whose
+    coefficient at k is c, and is dropped once the next row is made.
     """
-    phi_poly = cyclotomic_poly(m)
-    phi = len(phi_poly) - 1
-    low = phi_poly[:phi]
+    low = cyclotomic_poly(m)[:-1]
+    phi = len(low)
+    rems = []
+    high: dict[int, list[tuple[list[int], int]]] = {}
+    for pairs in vectors:
+        rem = [0] * phi
+        for k, c in pairs:
+            if k < phi:
+                rem[k] += c
+            elif c:
+                high.setdefault(k, []).append((rem, c))
+        rems.append(rem)
     row = [-c for c in low]
-    rows = []
-    for _ in range(phi, m):
-        rows.append(tuple(row))
+    for k in range(phi, max(high, default=0) + 1):
+        for rem, c in high.get(k, ()):
+            rem[:] = [r + c * x for r, x in zip(rem, row)]
         top = row[-1]
         row = [0] + row[:-1]
         if top:
             row = [r - top * c for r, c in zip(row, low)]
-    return tuple(rows)
+    return rems
 
 
 class CycloValue:
-    """An element of Z[zeta_m], stored as a length-m group-ring vector."""
+    """An element of Z[zeta_m].  ``coeffs`` is its remainder mod Phi_m,
+    zero-padded to length m; the constructor reduces a vector of length at
+    most m only when it has an entry at or above phi(m)."""
 
-    __slots__ = ("m", "coeffs", "_canon")
+    __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs=()):
         if m < 1:
             raise ValueError("CycloValue needs order m >= 1")
-        vec = tuple(map(int, coeffs))
+        vec = list(map(int, coeffs))
         if len(vec) > m:
             raise ValueError("coefficient vector longer than the order")
-        if len(vec) < m:
-            vec += (0,) * (m - len(vec))
+        if any(vec[len(cyclotomic_poly(m)) - 1 :]):
+            (vec,) = _remainders(m, [enumerate(vec)])
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", vec)
-        object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "coeffs", tuple(vec) + (0,) * (m - len(vec)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloValue is immutable")
@@ -169,41 +176,23 @@ class CycloValue:
         # round-trip through the constructor instead
         return (CycloValue, (self.m, list(self.coeffs)))
 
-    def canonical(self) -> tuple[int, ...]:
-        """Remainder mod the m-th cyclotomic polynomial, zero-padded to m.
-
-        The low phi(m) coefficients stay as they are, and each nonzero
-        coefficient c_k above them adds c_k times the cached row x^k mod
-        Phi_m, so no value needs a polynomial division.
-        """
-        if self._canon is None:
-            rows = _high_powers(self.m)
-            phi = self.m - len(rows)
-            rem = list(self.coeffs[:phi])
-            for c, row in zip(self.coeffs[phi:], rows):
-                if c:
-                    rem = [r + c * x for r, x in zip(rem, row)]
-            object.__setattr__(self, "_canon", tuple(rem) + (0,) * len(rows))
-        return self._canon
-
     def is_zero(self) -> bool:
-        return not any(self.canonical())
+        return not any(self.coeffs)
 
     def to_int(self) -> int:
-        c = self.canonical()
-        if any(c[1:]):
+        if any(self.coeffs[1:]):
             raise ValueError(f"{self!r} is not a rational integer")
-        return c[0]
+        return self.coeffs[0]
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = CycloValue.from_int(self.m, other)
         if not isinstance(other, CycloValue) or other.m != self.m:
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.m, self.canonical()))
+        return hash((self.m, self.coeffs))
 
     def __repr__(self):
         return f"CycloValue(m={self.m}, coeffs={list(self.coeffs)})"

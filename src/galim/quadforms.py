@@ -35,7 +35,7 @@ from .arith import (
     kronecker,
     sqrt_mod,
 )
-from .cyclotomic import CycloValue
+from .cyclotomic import CycloValue, _remainders
 
 # Largest p for which class_number_analytic evaluates its character sum
 # (a^2 < 10^16 stays far inside int64, and the sum takes O(p) time).  The
@@ -48,8 +48,8 @@ ANALYTIC_MAX_P = 10**8
 # allocates at most about 16 MB at any p; every p < 2^21 is one block.
 _SQUARE_BLOCK = 1 << 20
 # Largest bound theta_coefficients accepts.  Its coefficients cost about
-# 1 KB each: ``galim theta -p 23 --coeffs 100000`` peaks at 139 MB and takes
-# 2.7 s as a whole process on a 2-vCPU x86 host, and 10^6 would take over a
+# 1 KB each: ``galim theta -p 23 --coeffs 100000`` peaks at 132 MB and takes
+# 2.1 s as a whole process on a 2-vCPU x86 host, and 10^6 would take over a
 # gigabyte.
 THETA_MAX_BOUND = 10**5
 
@@ -637,8 +637,9 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     sum of zeta^((2i-e)k) over the e+1 ideals P^i Pbar^(e-i), 0 <= i <= e.
     Each a_n is kept as a sparse histogram {exponent: ideal count} over the
     ideals of norm n, the local histogram times that of a_(n / l^e), so it
-    costs about (ideals of norm n) operations; the raw vector of a_n is
-    that histogram, made into one cyclotomic vector at the end.  l is read
+    costs about (ideals of norm n) operations.  The histograms are the raw
+    vectors of the a_n, and one sweep of ``cyclotomic._remainders`` takes them
+    all to their remainders mod Phi_m at the end.  l is read
     from a least-prime-factor table of 0..bound, built once per call, and
     bound above ``THETA_MAX_BOUND`` is refused before anything is built.
     """
@@ -683,10 +684,5 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
                 t = (a + b) % m
                 hist[t] = hist.get(t, 0) + x * y
         hists.append(hist)
-    coeffs = []
-    for hist in hists:
-        vec = [0] * m
-        for t, c in hist.items():
-            vec[t] = c
-        coeffs.append(CycloValue(m, vec))
-    return QExpansion(d, char.exponents, m, tuple(coeffs))
+    coeffs = tuple(CycloValue(m, rem) for rem in _remainders(m, [hist.items() for hist in hists]))
+    return QExpansion(d, char.exponents, m, coeffs)

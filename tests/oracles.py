@@ -113,7 +113,7 @@ def serialize(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, CycloValue):
-        return {"order": obj.m, "coeffs": list(obj.canonical())}
+        return {"order": obj.m, "coeffs": list(obj.coeffs)}
     if dataclasses.is_dataclass(obj):
         return {f.name: serialize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

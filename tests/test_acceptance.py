@@ -46,7 +46,7 @@ def criterion(num: int, label: str, budget: float | None = None):
 
 def embed(v: CycloValue) -> complex:
     return sum(
-        c * cmath.exp(2j * cmath.pi * k / v.m) for k, c in enumerate(v.canonical())
+        c * cmath.exp(2j * cmath.pi * k / v.m) for k, c in enumerate(v.coeffs)
     )
 
 

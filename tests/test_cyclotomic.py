@@ -1,37 +1,82 @@
-"""Exact cyclotomic-integer arithmetic: ring laws, canonical forms,
-conjugation, hashing and pickling."""
+"""Exact cyclotomic-integer arithmetic: the cyclotomic polynomials, the
+reduction sweep, ring laws, canonical forms, conjugation, hashing, pickling
+and the memory of a large order."""
 
+import hashlib
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galim.cyclotomic import CycloValue, _poly_divmod_monic, cyclotomic_poly
+from galim.cyclotomic import CycloValue, _remainders, cyclotomic_poly
 
 
 def rand_value(rng: random.Random, m: int) -> CycloValue:
     return CycloValue(m, [rng.randrange(-9, 10) for _ in range(m)])
 
 
-def canonical_oracle(v: CycloValue) -> tuple[int, ...]:
-    # the remainder by long division, zero-padded to m
-    _, rem = _poly_divmod_monic(list(v.coeffs), list(cyclotomic_poly(v.m)))
-    return tuple(rem) + (0,) * (v.m - len(rem))
+def _poly_trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    # den is monic with integer coefficients, so quotient and remainder stay
+    # integral
+    num = list(num)
+    dn = len(den) - 1
+    if dn == 0:
+        return list(num), []
+    quot = [0] * max(len(num) - dn, 0)
+    for i in range(len(num) - dn - 1, -1, -1):
+        c = num[i + dn]
+        if c:
+            quot[i] = c
+            for j in range(dn + 1):
+                num[i + j] -= c * den[j]
+    return _poly_trim(quot), _poly_trim(num[:dn])
+
+
+@cache
+def cyclotomic_poly_oracle(m: int) -> tuple[int, ...]:
+    # x^m - 1 with Phi_d divided out for every proper divisor d of m
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = _poly_divmod_monic(num, list(cyclotomic_poly_oracle(d)))
+            assert not rem, (m, d)
+    return tuple(num)
+
+
+def canonical_oracle(m: int, vec: list[int]) -> tuple[int, ...]:
+    # the remainder of a raw vector by long division, zero-padded to m
+    _, rem = _poly_divmod_monic(vec, list(cyclotomic_poly_oracle(m)))
+    return padded(m, rem)
+
+
+def padded(m: int, rem: list[int]) -> tuple[int, ...]:
+    return tuple(rem) + (0,) * (m - len(rem))
 
 
 @st.composite
-def cyclo_values(draw):
-    m = draw(st.integers(1, 400))
+def raw_vectors(draw, m=st.integers(1, 400)):
+    """(m, a raw group-ring vector of length m), dense or sparse."""
+    m = draw(m)
     entries = st.integers(-(10**6), 10**6) | st.integers(-(2**80), 2**80)
     if draw(st.booleans()):
-        return CycloValue(m, draw(st.lists(entries, min_size=m, max_size=m)))
+        return m, draw(st.lists(entries, min_size=m, max_size=m))
     vec = [0] * m
     for k, c in draw(st.dictionaries(st.integers(0, m - 1), entries, max_size=4)).items():
         vec[k] = c
-    return CycloValue(m, vec)
+    return m, vec
 
 
 class TestCyclotomicPoly:
@@ -62,6 +107,60 @@ class TestCyclotomicPoly:
                     prod = new
             want = [-1] + [0] * (m - 1) + [1]
             assert prod == want, m
+
+    def test_matches_divide_out_up_to_400(self):
+        for m in range(1, 401):
+            assert cyclotomic_poly(m) == cyclotomic_poly_oracle(m), m
+
+    @pytest.mark.parametrize("m", [1275, 2310, 4945])
+    def test_matches_divide_out(self, m):
+        # 1275 = 3 * 5^2 * 17, 2310 = 2 * 3 * 5 * 7 * 11, 4945 = 5 * 23 * 43
+        assert cyclotomic_poly(m) == cyclotomic_poly_oracle(m)
+
+    def test_builds_no_divisor_polynomial(self):
+        cyclotomic_poly.cache_clear()
+        cyclotomic_poly(2310)
+        assert cyclotomic_poly.cache_info().currsize == 1
+
+
+class TestReduceSweep:
+    @pytest.mark.parametrize("m", [1, 2, 101, 105, 385])
+    def test_batch_matches_long_division(self, m):
+        rng = random.Random(m)
+        phi = len(cyclotomic_poly(m)) - 1
+        batch = [
+            [0] * m,
+            [rng.randrange(-9, 10) for _ in range(phi)] + [0] * (m - phi),
+            [rng.randrange(-(2**70), 2**70) for _ in range(m)],
+            [0] * (m - 1) + [1],
+        ]
+        for _ in range(6):
+            vec = [0] * m
+            for _ in range(rng.randrange(1, 5)):
+                vec[rng.randrange(m)] += rng.randrange(-(10**6), 10**6)
+            batch.append(vec)
+        rems = _remainders(m, [enumerate(vec) for vec in batch])
+        assert [padded(m, rem) for rem in rems] == [canonical_oracle(m, vec) for vec in batch]
+        # a remainder goes through a second sweep unchanged
+        again = _remainders(m, [enumerate(rem) for rem in rems])
+        assert again == rems
+        assert all(len(rem) == phi for rem in rems)
+
+    def test_vectors_below_phi_come_back_unchanged(self):
+        # nothing at or above phi(m), so the sweep walks no row
+        for m in (1, 2, 101, 105, 385):
+            phi = len(cyclotomic_poly(m)) - 1
+            low = {k: 3 * k - 7 for k in range(0, phi, 4)}
+            (rem,) = _remainders(m, [low.items()])
+            assert rem == [low.get(k, 0) for k in range(phi)]
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_random_batches_match_long_division(self, data):
+        m = data.draw(st.integers(1, 400))
+        batch = data.draw(st.lists(raw_vectors(st.just(m)), min_size=1, max_size=6))
+        rems = _remainders(m, [enumerate(vec) for _, vec in batch])
+        assert [padded(m, rem) for rem in rems] == [canonical_oracle(m, vec) for _, vec in batch]
 
 
 class TestRingLaws:
@@ -110,9 +209,9 @@ class TestCanonical:
 
     def test_canonical_padded_length(self):
         v = CycloValue.zeta(7, 6)
-        assert len(v.canonical()) == 7
+        assert len(v.coeffs) == 7
         # zeta^6 = -(1 + zeta + ... + zeta^5) after reduction mod Phi_7
-        assert v.canonical() == (-1, -1, -1, -1, -1, -1, 0)
+        assert v.coeffs == (-1, -1, -1, -1, -1, -1, 0)
 
     def test_to_int(self):
         assert CycloValue.from_int(9, -4).to_int() == -4
@@ -121,15 +220,16 @@ class TestCanonical:
             CycloValue.zeta(5).to_int()
 
     @settings(max_examples=50)
-    @given(cyclo_values())
-    @example(CycloValue(105, [1] * 105))
-    @example(CycloValue.zeta(105, 104))
-    @example(CycloValue(385, [(-1) ** k * k for k in range(385)]))
-    @example(CycloValue.zeta(385, 384))
-    @example(CycloValue.zeta(1))
-    def test_matches_long_division(self, v):
+    @given(raw_vectors())
+    @example((105, [1] * 105))
+    @example((105, [0] * 104 + [1]))
+    @example((385, [(-1) ** k * k for k in range(385)]))
+    @example((385, [0] * 384 + [1]))
+    @example((1, [1]))
+    def test_matches_long_division(self, raw):
         # Phi_105 and Phi_385 have coefficients outside -1..1
-        assert v.canonical() == canonical_oracle(v)
+        m, vec = raw
+        assert CycloValue(m, vec).coeffs == canonical_oracle(m, vec)
 
     def test_zeta_exponent_wraps(self):
         assert CycloValue.zeta(6, 7) == CycloValue.zeta(6, 1)
@@ -200,3 +300,22 @@ class TestObjectProtocol:
             CycloValue(0)
         with pytest.raises(ValueError):
             CycloValue(3, [1, 2, 3, 4])
+
+
+class TestLargeOrder:
+    def test_witness_at_order_14245_in_bounded_memory(self):
+        # h(-99999959) = 14245 is the order of the character, and the theta
+        # head reaches exponents far above phi(14245) = 8640: a table of the
+        # rows x^k mod Phi_m would hold 48 million ints, about 400 MB
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "galim.cli", "witness", "hida", "-p", "99999959"],
+            stdout=subprocess.PIPE,
+        )
+        with proc.stdout:
+            out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert hashlib.md5(out).hexdigest() == "f2f6bc730935ba0cf3c2afc9e8de0b60"
+        # ru_maxrss is in KiB on Linux
+        assert usage.ru_maxrss < 100 * 1024, usage.ru_maxrss

@@ -760,7 +760,7 @@ class TestTheta:
     @example(19319)
     def test_matches_dense_product_oracle(self, p):
         # the first character of each order, so every cyclotomic order the
-        # group has is covered; raw vectors compared, not only their classes
+        # group has is covered; the stored remainders mod Phi_m compared
         d = -p
         firsts = {}
         for char in qf.characters(d):
