@@ -34,8 +34,8 @@ class InternalInconsistencyError(RuntimeError):
 
 
 # Entries kept by each memoised table (cyclotomic polynomials in
-# cyclotomic, reduced forms, class groups and splitting logs in quadforms,
-# the genus and dimension tables in dims), so memory stays bounded
+# cyclotomic, reduced forms and class groups in quadforms, the X_0 genus
+# table in dims), so memory stays bounded
 # however long a scan runs.  A scan moves through its discriminants and
 # levels in order and never returns to one, so the least recently used
 # entries it drops are never needed again.

@@ -49,8 +49,8 @@ class _Misplaced(argparse.Action):
 
 # exact types that serialize returns as they are
 _SCALARS = frozenset((type(None), bool, int, float, str))
-# dataclass -> its field names, in declaration order
-_FIELDS: dict[type, tuple[str, ...]] = {}
+# dataclass or QuadForm -> its field names, in declaration order
+_FIELDS: dict[type, tuple[str, ...]] = {quadforms.QuadForm: quadforms.QuadForm._fields}
 
 
 def serialize(obj):
@@ -58,7 +58,9 @@ def serialize(obj):
 
     Scalars, lists, tuples and dicts pass only as their exact built-in
     types, so a subclass of them, such as numpy's float64 or str_, is
-    refused with a TypeError like any other unknown value.
+    refused with a TypeError like any other unknown value.  The one tuple
+    subclass accepted is ``QuadForm``, which maps to {"a", "b", "c"} as a
+    dataclass maps to its fields.
     """
     cls = type(obj)
     if cls in _SCALARS:

@@ -2,9 +2,11 @@
 
 All computations are exact: indices and cusp counts are assembled from the
 prime factorization, the genus is formed over the rationals, and a failed
-integrality check raises rather than rounding.  Sums over the divisors of
-the level are multiplicative, so they are taken one prime power q^e at a
-time and no divisor is factored again.
+integrality check raises rather than rounding.  The sums over the divisors
+of the level inside one genus are multiplicative, so they are taken one
+prime power q^e at a time.  ``dim_S2_new_Gamma0`` does factor again: every
+divisor level it weighs goes through ``genus_X0``, which factors that level
+anew unless its cache holds it.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ def genus_X0(n: int) -> GenusData:
     return GenusData(n, index, nu2, nu3, nu_inf, int(g))
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def dim_S2_new_Gamma0(n: int) -> int:
     """Dimension of the new subspace of weight-2 cusp forms on Gamma_0(N).
 
@@ -92,7 +93,6 @@ def dim_S2_new_Gamma0(n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def genus_X1(n: int) -> int:
     """Genus of X_1(N) for N >= 5 (no elliptic points in this range)."""
     if n < 5:

@@ -14,6 +14,9 @@ finite character sum.  ``class_group`` cross-checks them and raises
 same for a whole batch of discriminants: one pass over a serves every prime
 of the batch (``_reduced_triples``), so a scan window costs O(p + n*sqrt(p))
 for its forms rather than n separate O(p) enumerations.
+
+A form is one type throughout: ``QuadForm`` is a named (a, b, c) tuple, so
+the class-group code hashes, compares and sorts forms as plain triples.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,9 +73,12 @@ def _check_disc(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    """Integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
+class QuadForm(NamedTuple):
+    """Integral binary quadratic form a*x^2 + b*x*y + c*y^2.
+
+    A form is its (a, b, c) tuple: it equals, hashes and sorts as the
+    triple, and lexicographic order is the order ``reduced_forms`` lists.
+    """
 
     a: int
     b: int
@@ -93,18 +100,14 @@ def principal_form(d: int) -> QuadForm:
     return QuadForm(1, 1, (1 - d) // 4)
 
 
-# Inside class_group a form is its (a, b, c) tuple, which hashes and
-# compares in C; a QuadForm's generated __hash__ and __eq__ are Python calls.
-_Form = tuple[int, int, int]
-
-
-def _abc(form: QuadForm) -> _Form:
+def _abc(form: QuadForm) -> QuadForm:
+    """form itself, once it is checked positive definite."""
     if form.a <= 0 or form.discriminant() >= 0:
         raise ValueError(f"not a positive definite form: {form}")
-    return form.a, form.b, form.c
+    return form
 
 
-def _normalize(a: int, b: int, c: int) -> _Form:
+def _normalize(a: int, b: int, c: int) -> tuple[int, int, int]:
     # shift b into (-a, a] by a unipotent substitution
     if -a < b <= a:
         return a, b, c
@@ -112,16 +115,16 @@ def _normalize(a: int, b: int, c: int) -> _Form:
     return a, b + 2 * r * a, a * r * r + b * r + c
 
 
-def _reduce(a: int, b: int, c: int) -> _Form:
+def _reduce(a: int, b: int, c: int) -> QuadForm:
     a, b, c = _normalize(a, b, c)
     while a > c or (a == c and b < 0):
         a, b, c = _normalize(c, -b, a)
-    return a, b, c
+    return QuadForm(a, b, c)
 
 
 def reduce_form(form: QuadForm) -> QuadForm:
     """Unique reduced representative of the proper equivalence class."""
-    return QuadForm(*_reduce(*_abc(form)))
+    return _reduce(*_abc(form))
 
 
 def _check_forms_disc(d: int) -> int:
@@ -174,10 +177,10 @@ def reduced_forms(d: int) -> tuple[QuadForm, ...]:
     p = _check_forms_disc(d)
     out = []
     for _, a, b, c in _reduced_triples([p]):
-        out.append((a, b, c))
+        out.append(QuadForm(a, b, c))
         if b < a < c:
-            out.append((a, -b, c))
-    return tuple(QuadForm(*abc) for abc in sorted(out))
+            out.append(QuadForm(a, -b, c))
+    return tuple(sorted(out))
 
 
 def class_number(d: int) -> int:
@@ -248,28 +251,17 @@ def _character_sum_class_number(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     # all x with a*x = b (mod m), returned as x = mu (mod v)
-    g, d, _ = _ext_gcd(a, m)
+    g = gcd(a, m)
     q, r = divmod(b, g)
     if r:
         raise InternalInconsistencyError(f"no solution to {a}*x = {b} mod {m}")
-    return q * d % m, m // g
+    v = m // g
+    return q * pow(a // g, -1, v) % v, v
 
 
-def _compose(f1: _Form, f2: _Form) -> _Form:
+def _compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     if f1 == f2:
         return _square(*f1)
     a1, b1, c1 = f1
@@ -290,7 +282,7 @@ def _compose(f1: _Form, f2: _Form) -> _Form:
     return _reduce(st, j * u - (k * t + ell * s), k * ell - j * m)
 
 
-def _square(a: int, b: int, c: int) -> _Form:
+def _square(a: int, b: int, c: int) -> QuadForm:
     mu, _ = _solve_linmod(b, c, a)
     return _reduce(a * a, b - 2 * a * mu, mu * mu - (b * mu - c) // a)
 
@@ -306,7 +298,9 @@ class ClassGroup:
 
     ``generators[i]`` has order ``structure[i]`` and the map
     (e_1, ..., e_t) -> prod generators[i]^(e_i) is a bijection onto the
-    reduced forms; ``dlog`` inverts it.
+    reduced forms; ``dlog`` inverts it.  The generators and the ``dlog``
+    keys are reduced ``QuadForm``s, so ``dlog`` also answers a plain
+    (a, b, c) key.
     """
 
     discriminant: int
@@ -329,10 +323,10 @@ class ClassGroup:
 # A walk table maps each form f to (walk, i) where walk lists g^0 = 1, g,
 # g^2, ... for some g of order len(walk) and f = walk[i]: one walk of a
 # generator's powers serves every power and order in its cyclic subgroup.
-_Walks = dict[_Form, tuple[list[_Form], int]]
+_Walks = dict[QuadForm, tuple[list[QuadForm], int]]
 
 
-def _walks(forms: list[_Form], identity: _Form, h: int) -> _Walks:
+def _walks(forms: Iterable[QuadForm], identity: QuadForm, h: int) -> _Walks:
     """Walk the powers of each form not yet covered, in sorted order, one
     composition per step, until the walk returns to the identity."""
     table: _Walks = {}
@@ -353,20 +347,20 @@ def _walks(forms: list[_Form], identity: _Form, h: int) -> _Walks:
     return table
 
 
-def _power(walks: _Walks, f: _Form, n: int) -> _Form:
+def _power(walks: _Walks, f: QuadForm, n: int) -> QuadForm:
     """f^n read from the walk table; negative n works the same way."""
     walk, i = walks[f]
     return walk[i * n % len(walk)]
 
 
-def _order(walks: _Walks, f: _Form) -> int:
+def _order(walks: _Walks, f: QuadForm) -> int:
     walk, i = walks[f]
     return len(walk) // gcd(i, len(walk))
 
 
 def _span(
-    known: dict[_Form, tuple[int, ...]], y: _Form, k: int, walks: _Walks
-) -> dict[_Form, tuple[int, ...]]:
+    known: dict[QuadForm, tuple[int, ...]], y: QuadForm, k: int, walks: _Walks
+) -> dict[QuadForm, tuple[int, ...]]:
     """Extend a dlog table by y of order k modulo its span: each a * y^j,
     j < k, gets known[a] + (j,).  The identity's entries y^j are read from
     the walk table, and every other entry costs one composition, so a span
@@ -382,8 +376,8 @@ def _span(
 
 
 def _sylow_basis(
-    elems: list[_Form], q: int, identity: _Form, walks: _Walks
-) -> tuple[list[_Form], list[int]]:
+    elems: list[QuadForm], q: int, identity: QuadForm, walks: _Walks
+) -> tuple[list[QuadForm], list[int]]:
     """Basis of a finite abelian q-group given as a list of reduced forms.
 
     Greedy maximal-order-in-quotient with the divisibility correction; ties
@@ -391,12 +385,12 @@ def _sylow_basis(
     deterministic.  Every power and order is read from the walk table, so
     the only compositions are the corrections and the span extensions.
     """
-    known: dict[_Form, tuple[int, ...]] = {identity: ()}
-    basis: list[_Form] = []
+    known: dict[QuadForm, tuple[int, ...]] = {identity: ()}
+    basis: list[QuadForm] = []
     orders: list[int] = []
     elems_sorted = sorted(elems)
     while len(known) < len(elems):
-        best: _Form | None = None
+        best: QuadForm | None = None
         best_k = 0
         for f in elems_sorted:
             if f in known:
@@ -437,8 +431,7 @@ def class_group(d: int) -> ClassGroup:
     exactly dividing h, and ``_sylow_basis`` picks its basis greedily.  The
     dlog table starts from the identity and is extended by each generator
     in turn by ``_span``: the generator's own powers come from the walk
-    table, every other entry costs one composition.  All of this runs on
-    (a, b, c) tuples; the generators and the dlog keys are QuadForms.
+    table, every other entry costs one composition.
     """
     p = -d
     if p > ANALYTIC_MAX_P:
@@ -452,17 +445,15 @@ def class_group(d: int) -> ClassGroup:
         )
     if h % 2 == 0 or math.gcd(h, p) != 1:
         raise InternalInconsistencyError(f"class number {h} fails parity/coprimality for {d}")
+    identity = QuadForm(1, 1, (1 - d) // 4)
     if h == 1:
-        return ClassGroup(d, 1, (), (), {principal_form(d): ()})
+        return ClassGroup(d, 1, (), (), {identity: ()})
 
     # invariant factors, assembled one prime at a time
-    by_key = {(f.a, f.b, f.c): f for f in reduced}
-    forms = list(by_key)
-    identity = (1, 1, (1 - d) // 4)
-    walks = _walks(forms, identity, h)
-    per_prime: list[tuple[list[_Form], list[int]]] = []
+    walks = _walks(reduced, identity, h)
+    per_prime: list[tuple[list[QuadForm], list[int]]] = []
     for q, e in factorize(h).items():
-        sylow = [f for f in forms if q**e % _order(walks, f) == 0]
+        sylow = [f for f in reduced if q**e % _order(walks, f) == 0]
         if len(sylow) != q ** e:
             raise InternalInconsistencyError(f"Sylow {q}-subgroup has wrong size")
         basis, basis_orders = _sylow_basis(sylow, q, identity, walks)
@@ -470,7 +461,7 @@ def class_group(d: int) -> ClassGroup:
         per_prime.append(([f for _, f in ranked], [o for o, _ in ranked]))
 
     rank = max(len(b) for b, _ in per_prime)
-    gens_desc: list[_Form] = []
+    gens_desc: list[QuadForm] = []
     invs_desc: list[int] = []
     for i in range(rank):
         g = identity
@@ -488,18 +479,12 @@ def class_group(d: int) -> ClassGroup:
         if big % small:
             raise InternalInconsistencyError(f"invariant factors {structure} not a chain")
 
-    dlog: dict[_Form, tuple[int, ...]] = {identity: ()}
+    dlog: dict[QuadForm, tuple[int, ...]] = {identity: ()}
     for g, di in zip(generators, structure):
         dlog = _span(dlog, g, di, walks)
-    if len(dlog) != h or dlog.keys() != by_key.keys():
+    if len(dlog) != h or dlog.keys() != set(reduced):
         raise InternalInconsistencyError(f"dlog table does not enumerate the group for {d}")
-    return ClassGroup(
-        d,
-        h,
-        structure,
-        tuple(by_key[g] for g in generators),
-        {by_key[f]: exps for f, exps in dlog.items()},
-    )
+    return ClassGroup(d, h, structure, generators, dlog)
 
 
 # ---------------------------------------------------------------------------
@@ -560,54 +545,25 @@ def characters(d: int) -> tuple[ClassCharacter, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeSplitting:
-    """How a rational prime sits in the order of discriminant d."""
-
-    ell: int
-    kind: str  # "inert" | "ramified" | "split"
-    forms: tuple[QuadForm, ...]
-    principal: bool | None = None
-
-
-def _prime_ideal_class(d: int, ell: int) -> PrimeSplitting:
-    """Class(es) of the prime ideals over ell, with a canonical split choice,
+def _prime_class(d: int, ell: int) -> QuadForm | None:
+    """Reduced class of a prime ideal above ell, or None when ell is inert,
     for a d and a prime ell already validated.
 
-    For split ell the first form uses b = the odd lift of the least square
-    root of d mod ell into (0, 2*ell); the second is its inverse class.
+    The ideal is (ell, (b + sqrt(d))/2), with b the lift of the least square
+    root of d mod ell into (0, 2*ell) that has the parity of d; for the
+    ramified ell = p that root is 0 and b = p.
     """
-    p = -d
-    sym = kronecker(d, ell)
-    if sym == -1:
-        return PrimeSplitting(ell, "inert", ())
-    if sym == 0:
-        # only ell = p ramifies, and the prime above it is (p, (p + sqrt(d))/2)
-        f = reduce_form(QuadForm(p, p, (p + 1) // 4))
-        return PrimeSplitting(ell, "ramified", (f,), f == QuadForm(1, 1, (1 - d) // 4))
     if ell == 2:
         # d odd here; 2 splits exactly when d = 1 mod 8, with b = 1
+        if d % 8 != 1:
+            return None
         b = 1
     else:
-        r = sqrt_mod(d % ell, ell)
-        assert r is not None
-        # lift the least root into (0, 2*ell) matching the parity of d
-        b = r if r % 2 == d % 2 else r + ell
-    c = (b * b - d) // (4 * ell)
-    f = reduce_form(QuadForm(ell, b, c))
-    fbar = reduce_form(QuadForm(ell, -b, c))
-    return PrimeSplitting(ell, "split", (f, fbar))
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _splitting_dlog(d: int, ell: int) -> tuple[str, tuple[int, ...] | None]:
-    # class_group has validated d, and theta_coefficients reads ell from a
-    # least-prime-factor table, so neither is proven prime again
-    grp = class_group(d)
-    sp = _prime_ideal_class(d, ell)
-    if sp.kind == "inert":
-        return "inert", None
-    return sp.kind, grp.dlog[sp.forms[0]]
+        r = sqrt_mod(d, ell)
+        if r is None:
+            return None
+        b = r if r % 2 else r + ell
+    return _reduce(ell, b, (b * b - d) // (4 * ell))
 
 
 @dataclass(frozen=True)
@@ -642,6 +598,8 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     all to their remainders mod Phi_m at the end.  l is read
     from a least-prime-factor table of 0..bound, built once per call, and
     bound above ``THETA_MAX_BOUND`` is refused before anything is built.
+    Each prime's class (``_prime_class``) and its character exponent k are
+    found once per call, at the first n that l divides.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -656,6 +614,8 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     lpf = list(range(bound + 1))
     for q in range(isqrt(bound), 1, -1):
         lpf[q * q :: q] = [q] * ((bound - q * q) // q + 1)
+    # l -> k, or None for inert l
+    powers: dict[int, int | None] = {}
     hists: list[dict[int, int]] = [{}, {0: 1}]
     for n in range(2, bound + 1):
         ell = lpf[n]
@@ -664,20 +624,20 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
         while rest % ell == 0:
             rest //= ell
             e += 1
-        kind, dl = _splitting_dlog(d, ell)
+        if ell not in powers:
+            f = _prime_class(d, ell)
+            powers[ell] = None if f is None else char._power(grp.dlog[f])
+        k = powers[ell]
         local: dict[int, int] = {}
-        if kind == "inert":
+        if k is None:
             if e % 2 == 0:
                 local[0] = 1
+        elif ell == -d:
+            local[e * k % m] = 1
         else:
-            assert dl is not None
-            k = char._power(dl)
-            if kind == "ramified":
-                local[e * k % m] = 1
-            else:
-                for i in range(e + 1):
-                    t = (2 * i - e) * k % m
-                    local[t] = local.get(t, 0) + 1
+            for i in range(e + 1):
+                t = (2 * i - e) * k % m
+                local[t] = local.get(t, 0) + 1
         hist: dict[int, int] = {}
         for a, x in local.items():
             for b, y in hists[rest].items():

@@ -116,6 +116,8 @@ def serialize(obj):
         return {"order": obj.m, "coeffs": list(obj.coeffs)}
     if dataclasses.is_dataclass(obj):
         return {f.name: serialize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, QuadForm):
+        return {name: serialize(v) for name, v in obj._asdict().items()}
     if isinstance(obj, dict):
         return {str(k): serialize(v) for k, v in obj.items()}
     if isinstance(obj, (frozenset, set)):

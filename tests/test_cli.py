@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import time
+import typing
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,17 @@ class TestSerialize:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             cli.serialize(object())
+
+    def test_quadform_is_the_one_tuple_subclass_accepted(self):
+        # QuadForm is a named tuple registered by its fields; a named tuple
+        # that is not registered is refused like any other tuple subclass
+        Pair = typing.NamedTuple("Pair", [("a", int), ("b", int)])
+        assert cli.serialize(QuadForm(2, -1, 3)) == {"a": 2, "b": -1, "c": 3}
+        assert cli.serialize([QuadForm(1, 1, 6)]) == [{"a": 1, "b": 1, "c": 6}]
+        with pytest.raises(TypeError, match="cannot serialize Pair"):
+            cli.serialize(Pair(1, 2))
+        with pytest.raises(TypeError, match="cannot serialize Pair"):
+            cli.serialize({"pairs": (Pair(1, 2),)})
 
     @given(report_objects)
     @example([True, 1, False, 0, 1.0, frozenset({True, 2, 0}), {1: True, "1": 1}])

@@ -76,7 +76,6 @@ class TestDivisorSums:
         # N/m runs over the divisors of N with no exponent above 2:
         # 3 * 3 * 3 of 1800 = 2^3 3^2 5^2, 3 of 2048 and 2 * 2 of 2047 = 23 * 89
         for n, weighted in ((1800, 27), (2048, 3), (2047, 4)):
-            dims.dim_S2_new_Gamma0.cache_clear()
             dims.genus_X0.cache_clear()
             calls.clear()
             dims.dim_S2_new_Gamma0(n)
@@ -84,7 +83,6 @@ class TestDivisorSums:
             assert len(calls) == 1 + weighted, n
             assert sorted(set(calls)) == sorted(calls[1:]), n
         for n in (1800, 2048, 2047):
-            dims.genus_X1.cache_clear()
             calls.clear()
             dims.genus_X1(n)
             assert calls == [n]

@@ -5,9 +5,9 @@ import cmath
 import functools
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from galim import quadforms as qf
 from galim import witness
-from galim.arith import InternalInconsistencyError, factorize, is_prime, primes_in_range
+from galim.arith import InternalInconsistencyError, factorize, is_prime, kronecker, primes_in_range
 from galim.cyclotomic import CycloValue
 from oracles import reduced_forms_oracle, representation_counts
 
@@ -29,9 +29,61 @@ KNOWN_H = {
 
 
 def compose(f: qf.QuadForm, g: qf.QuadForm) -> qf.QuadForm:
-    # the library's composition core, which class_group runs on (a, b, c)
-    # tuples, on reduced or unreduced forms of one discriminant
-    return qf.QuadForm(*qf._compose(qf._abc(f), qf._abc(g)))
+    # the library's composition core, which class_group runs on, on reduced
+    # or unreduced forms of one discriminant
+    return qf._compose(qf._abc(f), qf._abc(g))
+
+
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    # (g, s, t) with a*s + b*t = g = gcd(a, b), by the extended Euclid
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def solve_linmod_oracle(a: int, b: int, m: int) -> tuple[int, int]:
+    # all x with a*x = b (mod m) as x = mu (mod v), by the extended Euclid
+    g, d, _ = ext_gcd(a, m)
+    q, r = divmod(b, g)
+    assert r == 0, (a, b, m)
+    return q * d % m, m // g
+
+
+def compose_oracle(f1: qf.QuadForm, f2: qf.QuadForm) -> qf.QuadForm:
+    # Shanks' composition with the extended-Euclid solver, then reduced
+    if f1 == f2:
+        a, b, c = f1
+        mu, _ = solve_linmod_oracle(b, c, a)
+        return qf.reduce_form(qf.QuadForm(a * a, b - 2 * a * mu, mu * mu - (b * mu - c) // a))
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
+    g = (b1 + b2) // 2
+    h = (b2 - b1) // 2
+    w = math.gcd(math.gcd(a1, a2), g)
+    s, t, u = a1 // w, a2 // w, g // w
+    mu, nu = solve_linmod_oracle(t * u, h * u + s * c1, s * t)
+    lam, _ = solve_linmod_oracle(t * nu, h - t * mu, s)
+    k = mu + nu * lam
+    ell = (k * t - h) // s
+    m = (t * u * k - h * u - c1 * s) // (s * t)
+    return qf.reduce_form(qf.QuadForm(s * t, w * u - (k * t + ell * s), k * ell - w * m))
+
+
+def prime_class_oracle(d: int, ell: int):
+    # (ell, b, c) reduced for the b in (0, 2 ell] with b^2 = d (mod 4 ell)
+    # that is least mod ell, the lesser b on a tie, by trying every b;
+    # None when there is no such b
+    bs = [b for b in range(1, 2 * ell + 1) if (b * b - d) % (4 * ell) == 0]
+    if not bs:
+        return None
+    b = min(bs, key=lambda b: (b % ell, b))
+    return qf.reduce_form(qf.QuadForm(ell, b, (b * b - d) // (4 * ell)))
 
 
 def apply_sl2(form: qf.QuadForm, mat) -> qf.QuadForm:
@@ -179,20 +231,24 @@ def class_group_oracle(d):
 
 def theta_oracle(d, char, bound):
     # each a_n as one product of dense cyclotomic vectors, local factor
-    # times a_(n / l^e)
+    # times a_(n / l^e); a prime above l is in the class of a reduced form
+    # that represents l, or in its inverse, and the local factor is the same
+    # for both, so l is inert when no form represents it
     m = char.order
+    dlog = qf.class_group(d).dlog
+    counts = [(f, representation_counts(f, bound)) for f in qf.reduced_forms(d)]
     coeffs = [CycloValue.zero(m), CycloValue.from_int(m, 1)]
     for n in range(2, bound + 1):
         ell, e = next(iter(factorize(n).items()))
-        kind, dl = qf._splitting_dlog(d, ell)
+        above = next((f for f, r in counts if r[ell]), None)
         local = [0] * m
-        if kind == "inert":
+        if above is None:
             local[0] = 1 - e % 2
-        elif kind == "ramified":
-            local[e * char._power(dl) % m] = 1
+        elif ell == -d:
+            local[e * char._power(dlog[above]) % m] = 1
         else:
             for i in range(e + 1):
-                local[(2 * i - e) * char._power(dl) % m] += 1
+                local[(2 * i - e) * char._power(dlog[above]) % m] += 1
         coeffs.append(CycloValue(m, local) * coeffs[n // ell**e])
     return coeffs
 
@@ -212,6 +268,39 @@ class TestDomain:
     def test_accepts_prime_discriminants(self):
         assert qf.class_number(-7) == 1
         assert qf.principal_form(-7) == qf.QuadForm(1, 1, 2)
+
+
+class TestQuadForm:
+    def test_equals_and_hashes_as_its_triple(self):
+        f = qf.QuadForm(2, -1, 3)
+        assert f == (2, -1, 3) and (2, -1, 3) == f
+        assert hash(f) == hash((2, -1, 3))
+        assert {(2, -1, 3): "x"}[f] == "x"
+        assert {f: "x"}[(2, -1, 3)] == "x"
+        assert (f.a, f.b, f.c) == tuple(f)
+
+    @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 3), max_size=12), st.randoms())
+    def test_sorts_lexicographically_among_triples(self, triples, rng):
+        # each entry a form or a plain triple, at random
+        mixed = [qf.QuadForm(*t) if rng.random() < 0.5 else t for t in triples]
+        assert [tuple(x) for x in sorted(mixed)] == sorted(triples)
+
+    def test_repr(self):
+        assert repr(qf.QuadForm(2, -1, 3)) == "QuadForm(a=2, b=-1, c=3)"
+        assert str(qf.QuadForm(1, 1, 6)) == "QuadForm(a=1, b=1, c=6)"
+
+    def test_pickle_round_trip(self):
+        for f in qf.reduced_forms(-3299):
+            back = pickle.loads(pickle.dumps(f))
+            assert back == f and type(back) is qf.QuadForm
+        grp = qf.class_group(-3299)
+        assert pickle.loads(pickle.dumps(grp)) == grp
+
+    def test_class_group_holds_quadforms(self):
+        grp = qf.class_group(-3299)
+        assert all(type(f) is qf.QuadForm for f in grp.generators)
+        assert all(type(f) is qf.QuadForm for f in grp.dlog)
+        assert all(type(f) is qf.QuadForm for f in qf.reduced_forms(-3299))
 
 
 class TestReduction:
@@ -427,6 +516,38 @@ class TestBatchedClassNumbers:
 
 
 class TestComposition:
+    @given(st.integers(-10**6, 10**6), st.integers(-10**9, 10**9), st.integers(-10**6, 10**6),
+           st.integers(1, 10**6))
+    @example(0, 0, 0, 1)
+    @example(6, 0, -3, 9)
+    def test_solve_linmod_matches_extended_euclid(self, a, x, k, m):
+        # b = a*x + k*m is solvable by construction
+        b = a * x + k * m
+        mu, v = qf._solve_linmod(a, b, m)
+        mu0, v0 = solve_linmod_oracle(a, b, m)
+        assert v == v0 == m // math.gcd(a, m)
+        assert (a * mu - b) % m == 0 and (a * mu0 - b) % m == 0
+        assert (mu - mu0) % v == 0
+
+    @given(st.integers(2, 1000), st.integers(-10**4, 10**4), st.integers(1, 10**4),
+           st.integers(-10**6, 10**6))
+    def test_solve_linmod_refuses_unsolvable(self, g, a, m, b):
+        # g divides a and m but not b, so a*x = b (mod m) has no solution
+        if b % g == 0:
+            b += 1
+        with pytest.raises(InternalInconsistencyError, match="no solution"):
+            qf._solve_linmod(g * a, b, g * m)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([p for p in primes_in_range(7, 20000) if p % 4 == 3]), st.randoms())
+    def test_compose_matches_the_extended_euclid_composition(self, p, rng):
+        # reduced and unreduced forms, equal pairs (the squaring route) too
+        forms = qf.reduced_forms(-p)
+        for _ in range(8):
+            f = apply_sl2(rng.choice(forms), random_sl2(rng))
+            g = rng.choice((f, apply_sl2(rng.choice(forms), random_sl2(rng))))
+            assert qf._compose(f, g) == compose_oracle(f, g), (f, g)
+
     def test_group_axioms_sampled(self):
         rng = random.Random(31)
         for d in (-23, -47, -71, -479):
@@ -542,19 +663,19 @@ class TestClassGroup:
         # the walk table holds forms as (a, b, c) tuples
         forms = qf.reduced_forms(-p)
         e = qf.principal_form(-p)
-        walks = qf._walks([astuple(f) for f in forms], astuple(e), len(forms))
-        assert set(walks) == {astuple(f) for f in forms}
+        walks = qf._walks([tuple(f) for f in forms], tuple(e), len(forms))
+        assert set(walks) == {tuple(f) for f in forms}
         for f in forms:
             least = next(n for n in itertools.count(1) if form_pow(f, n) == e)
-            assert qf._order(walks, astuple(f)) == least, f
+            assert qf._order(walks, tuple(f)) == least, f
             for n in (-least - 1, -1, 0, 1, 2, least + 1):
-                assert qf._power(walks, astuple(f), n) == astuple(form_pow(f, n)), (f, n)
+                assert qf._power(walks, tuple(f), n) == tuple(form_pow(f, n)), (f, n)
 
     def test_walks_check_their_lengths(self):
         # the least form after the identity has order 9 in a group of order
         # 27: a bound of 7 stops its walk, and 9 does not divide a bound of 10
-        forms = [astuple(f) for f in qf.reduced_forms(-3299)]
-        e = astuple(qf.principal_form(-3299))
+        forms = [tuple(f) for f in qf.reduced_forms(-3299)]
+        e = tuple(qf.principal_form(-3299))
         with pytest.raises(InternalInconsistencyError, match="do not return"):
             qf._walks(forms, e, 7)
         with pytest.raises(InternalInconsistencyError, match="does not divide"):
@@ -632,35 +753,35 @@ class TestCharacters:
 
 class TestPrimeSplitting:
     def test_kind_matches_kronecker(self):
-        from galim.arith import kronecker
-
+        # _prime_class is None exactly for the inert primes
         for ell in primes_in_range(2, 60):
-            sp = qf._prime_ideal_class(-23, ell)
-            sym = kronecker(-23, ell)
-            want = {1: "split", 0: "ramified", -1: "inert"}[sym]
-            assert sp.kind == want, ell
-            assert len(sp.forms) == {1: 2, 0: 1, -1: 0}[sym]
+            assert (qf._prime_class(-23, ell) is None) == (kronecker(-23, ell) == -1), ell
 
     def test_split_two_disc_23(self):
-        sp = qf._prime_ideal_class(-23, 2)
-        assert sp.forms == (qf.QuadForm(2, 1, 3), qf.QuadForm(2, -1, 3))
+        assert qf._prime_class(-23, 2) == qf.QuadForm(2, 1, 3)
+
+    @pytest.mark.parametrize("d", [-23, -47, -71, -3299, -19319])
+    def test_matches_the_least_root_search(self, d):
+        for ell in primes_in_range(2, 399):
+            assert qf._prime_class(d, ell) == prime_class_oracle(d, ell), ell
 
     def test_split_forms_are_inverse_classes(self):
         for d, ell in ((-23, 2), (-23, 3), (-47, 7), (-71, 3), (-3299, 5)):
-            sp = qf._prime_ideal_class(d, ell)
-            assert sp.kind == "split"
-            f, fbar = sp.forms
+            assert kronecker(d, ell) == 1
+            f = qf._prime_class(d, ell)
+            # the conjugate prime (ell, (-b + sqrt(d))/2) has the form (a, -b, c)
+            fbar = qf.reduce_form(qf.QuadForm(f.a, -f.b, f.c))
             assert compose(f, fbar) == qf.principal_form(d)
             # the split prime really is represented: ell = Q(x, y) solvable
             assert representation_counts(f, ell)[ell] > 0
+            assert representation_counts(fbar, ell)[ell] > 0
 
     def test_ramified_class_is_two_torsion(self):
+        # h is odd, so the 2-torsion class of the ramified prime is principal
         for p in (23, 47, 71, 3299):
-            sp = qf._prime_ideal_class(-p, p)
-            assert sp.kind == "ramified"
-            (f,) = sp.forms
+            f = qf._prime_class(-p, p)
             assert compose(f, f) == qf.principal_form(-p)
-            assert sp.principal == (f == qf.principal_form(-p))
+            assert f == qf.principal_form(-p)
 
 
 class TestTheta:
@@ -816,7 +937,6 @@ class TestTheta:
 
         discs = (-23, -47, -19319)
         chars = {d: qf.characters(d)[:3] for d in discs}
-        qf._splitting_dlog.cache_clear()
         monkeypatch.setattr(qf, "is_prime", counting)
         for d in discs:
             for char in chars[d]:

@@ -152,7 +152,7 @@ class TestScan:
 
     def test_caches_stay_bounded_over_a_long_scan(self, monkeypatch):
         bound = quadforms.CACHE_MAXSIZE
-        for cached in (quadforms.reduced_forms, quadforms.class_group, quadforms._splitting_dlog):
+        for cached in (quadforms.reduced_forms, quadforms.class_group):
             assert cached.cache_info().maxsize == bound
         hi = 20000
         admissible = [p for p in primes_in_range(7, hi) if p % 4 == 3]
@@ -173,12 +173,13 @@ class TestScan:
 
     def test_dims_caches_stay_bounded_over_a_long_lr_scan(self):
         bound = quadforms.CACHE_MAXSIZE
-        for cached in (dims.genus_X0, dims.dim_S2_new_Gamma0, dims.genus_X1):
-            assert cached.cache_info().maxsize == bound
+        assert dims.genus_X0.cache_info().maxsize == bound
+        # a scan never asks for one level twice, so these keep no cache
+        for uncached in (dims.dim_S2_new_Gamma0, dims.genus_X1):
+            assert not hasattr(uncached, "cache_info")
         # each prime brings one new level 64*ell and three new genus_X0 levels
         rep = witness.scan("lr", 7, 9000)
         assert len(rep.items) > bound
-        assert dims.dim_S2_new_Gamma0.cache_info().currsize == bound
         assert dims.genus_X0.cache_info().currsize == bound
 
     def test_invalid_kind_and_range(self):
