@@ -3,7 +3,10 @@
 Every subcommand emits a ReportEnvelope: the command, its input parameters,
 the toolkit version, a list of item records and free-form notes.  JSON
 output is byte-stable (sorted keys, exact integers, rationals as "num/den",
-cyclotomic integers as coefficient lists tagged with their order).  CSV is
+cyclotomic integers as coefficient lists tagged with their order), and is
+written straight from the report objects, each distinct cyclotomic value
+formatted once; the text and CSV formats are made from the tree that
+``serialize`` builds.  CSV is
 offered only for ``scan``, whose items are flat rows.  Exit codes: 0 on
 success, 2 on domain errors (regular prime, trivial class group), 1 on usage
 errors.  ``--format`` and ``--out`` belong to the leaf command, so they go
@@ -264,8 +267,9 @@ def _cmd_witness(args) -> ReportEnvelope:
 def _cmd_scan(args) -> ReportEnvelope:
     rep = witness.scan(args.kind, args.lo, args.hi, jobs=args.jobs)
     notes = [f"skipped {reason}: {count}" for reason, count in sorted(rep.skipped.items())]
+    # the aggregates are ints, floats and lists of ints, which json takes as they are
     notes += [
-        f"aggregate {key}: {json.dumps(serialize(value), sort_keys=True)}"
+        f"aggregate {key}: {json.dumps(value, sort_keys=True)}"
         for key, value in sorted(rep.aggregates.items())
     ]
     return ReportEnvelope(
@@ -296,29 +300,38 @@ def _flatten(record: dict) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# dataclass or QuadForm -> (encoded '"name": ' prefix, name) for each field,
+# in key order; built from _FIELDS on the first instance written
+_PLANS: dict[type, tuple[tuple[str, str], ...]] = {}
 
 
-def _write_json(obj, indent: str, out: list[str]) -> None:
-    """Append the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` to
-    ``out``, for obj at nesting ``indent``.  ``json.dumps`` drops to its
-    pure-Python encoder once indent is set; this writer joins each list of
-    plain ints in one call and hands only the other scalars to ``json``."""
-    if type(obj) is int:
+def _plan(cls: type) -> tuple[tuple[str, str], ...] | None:
+    """The field plan of a class that serialize maps by its fields, or None."""
+    names = _FIELDS.get(cls)
+    if names is None:
+        if issubclass(cls, (Fraction, CycloValue)) or not dataclasses.is_dataclass(cls):
+            return None
+        names = _FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    plan = _PLANS[cls] = tuple((_encode_str(name) + ": ", name) for name in sorted(names))
+    return plan
+
+
+def _write_json(obj, indent: str, out: list[str], cyclo: dict) -> None:
+    """Append the bytes of ``json.dumps(serialize(obj), sort_keys=True,
+    indent=2)`` to ``out``, for obj at nesting ``indent``, walking the report
+    objects themselves.  Dataclasses and ``QuadForm`` are written field by
+    field from their plans, each list of plain ints is joined in one call,
+    and the text of each ``CycloValue`` is kept in ``cyclo``, keyed by
+    (order, coefficients, indent), so that a value repeated across a report
+    is formatted once.  None, bools and floats go to ``json.dumps``; every
+    other value goes through ``serialize``, which refuses what it does not
+    know with the same TypeError."""
+    cls = type(obj)
+    if cls is int:
         out.append(str(obj))
-    elif isinstance(obj, str):
+    elif cls is str:
         out.append(_encode_str(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key in sorted(obj):
-            out.append(sep + _encode_str(key) + ": ")
-            _write_json(obj[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(obj, list):
+    elif cls is list or cls is tuple:
         if not obj:
             out.append("[]")
             return
@@ -329,20 +342,70 @@ def _write_json(obj, indent: str, out: list[str]) -> None:
         sep = "[\n" + inner
         for v in obj:
             out.append(sep)
-            _write_json(v, inner, out)
+            _write_json(v, inner, out, cyclo)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
-    else:
+    elif cls is CycloValue:
+        key = (obj.m, obj.coeffs, indent)
+        text = cyclo.get(key)
+        if text is None:
+            # the constructor stores exact ints, at least one of them
+            inner = indent + "  "
+            row = ",\n" + inner + "  "
+            text = cyclo[key] = (
+                f'{{\n{inner}"coeffs": [{row[1:]}{row.join(map(str, obj.coeffs))}\n'
+                f'{inner}],\n{inner}"order": {obj.m}\n{indent}}}'
+            )
+        out.append(text)
+    elif cls is dict:
+        keyed = {str(k): v for k, v in obj.items()}
+        if len(keyed) < len(obj):
+            # keys that collide as strings: serialize decides which value
+            # stays and refuses a value it drops
+            _write_json(serialize(obj), indent, out, cyclo)
+        else:
+            members = [(_encode_str(key) + ": ", keyed[key]) for key in sorted(keyed)]
+            _write_members(members, indent, out, cyclo)
+    elif cls in _SCALARS:
         out.append(json.dumps(obj))
+    else:
+        plan = _PLANS.get(cls) or _plan(cls)
+        if plan is None:
+            _write_json(serialize(obj), indent, out, cyclo)
+        else:
+            members = [(prefix, getattr(obj, name)) for prefix, name in plan]
+            _write_members(members, indent, out, cyclo)
+
+
+def _write_members(members: list, indent: str, out: list[str], cyclo: dict) -> None:
+    """Write a JSON object from its (encoded '"key": ' prefix, value) pairs."""
+    if not members:
+        out.append("{}")
+        return
+    inner = indent + "  "
+    sep = "{\n" + inner
+    for prefix, value in members:
+        out.append(sep + prefix)
+        _write_json(value, inner, out, cyclo)
+        sep = ",\n" + inner
+    out.append("\n" + indent + "}")
 
 
 def _render(env: ReportEnvelope, fmt: str) -> str:
-    payload = serialize(env)
+    """The report in one of the three formats.  JSON is written straight
+    from the report objects; text and csv are made from ``serialize(env)``."""
     if fmt == "json":
         out: list[str] = []
-        _write_json(payload, "", out)
+        try:
+            _write_json(env, "", out, {})
+        except TypeError:
+            # name the value that serialize meets first, not the writer's
+            # first in key order
+            serialize(env)
+            raise
         out.append("\n")
         return "".join(out)
+    payload = serialize(env)
     if fmt == "csv":
         if not env.command.startswith(("scan", "inertia eta")):
             raise ValueError("csv format is only available for scan outputs")

@@ -106,10 +106,6 @@ class CycloValue:
         raise AttributeError("CycloValue is immutable")
 
     @classmethod
-    def zero(cls, m: int) -> "CycloValue":
-        return cls(m)
-
-    @classmethod
     def from_int(cls, m: int, v: int) -> "CycloValue":
         out = [0] * m
         out[0] = v
@@ -175,9 +171,6 @@ class CycloValue:
         # the frozen __setattr__ blocks pickle's slot restoration, so
         # round-trip through the constructor instead
         return (CycloValue, (self.m, list(self.coeffs)))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def to_int(self) -> int:
         if any(self.coeffs[1:]):

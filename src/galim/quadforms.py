@@ -84,28 +84,6 @@ class QuadForm(NamedTuple):
     b: int
     c: int
 
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        return (abs(b) <= a <= c) and (b >= 0 or (abs(b) < a and a < c))
-
-
-def principal_form(d: int) -> QuadForm:
-    _check_disc(d)
-    return QuadForm(1, 1, (1 - d) // 4)
-
-
-def _abc(form: QuadForm) -> QuadForm:
-    """form itself, once it is checked positive definite."""
-    if form.a <= 0 or form.discriminant() >= 0:
-        raise ValueError(f"not a positive definite form: {form}")
-    return form
-
 
 def _normalize(a: int, b: int, c: int) -> tuple[int, int, int]:
     # shift b into (-a, a] by a unipotent substitution
@@ -120,11 +98,6 @@ def _reduce(a: int, b: int, c: int) -> QuadForm:
     while a > c or (a == c and b < 0):
         a, b, c = _normalize(c, -b, a)
     return QuadForm(a, b, c)
-
-
-def reduce_form(form: QuadForm) -> QuadForm:
-    """Unique reduced representative of the proper equivalence class."""
-    return _reduce(*_abc(form))
 
 
 def _check_forms_disc(d: int) -> int:
@@ -308,16 +281,6 @@ class ClassGroup:
     structure: tuple[int, ...]
     generators: tuple[QuadForm, ...]
     dlog: dict[QuadForm, tuple[int, ...]]
-
-    @property
-    def identity(self) -> QuadForm:
-        return principal_form(self.discriminant)
-
-    def exponents_of(self, form: QuadForm) -> tuple[int, ...]:
-        key = reduce_form(form)
-        if key not in self.dlog:
-            raise ValueError(f"{form} does not have discriminant {self.discriminant}")
-        return self.dlog[key]
 
 
 # A walk table maps each form f to (walk, i) where walk lists g^0 = 1, g,
@@ -510,10 +473,6 @@ class ClassCharacter:
             m = m * (di // gcd(mi, di)) // gcd(m, di // gcd(mi, di))
         return m
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     def value_at(self, exps: tuple[int, ...]) -> CycloValue:
         return CycloValue.zeta(self.order, self._power(exps))
 
@@ -525,10 +484,6 @@ class ClassCharacter:
             # (d_i / gcd(m_i, d_i)) divides m, so this division is exact
             total += e * (m * mi // di)
         return total % m
-
-    def conjugate(self) -> "ClassCharacter":
-        conj = tuple((-mi) % di for di, mi in zip(self.structure, self.exponents))
-        return ClassCharacter(self.structure, conj)
 
 
 def characters(d: int) -> tuple[ClassCharacter, ...]:

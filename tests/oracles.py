@@ -9,7 +9,7 @@ import numpy as np
 
 from galim.arith import factorize, totient
 from galim.cyclotomic import CycloValue
-from galim.quadforms import QuadForm
+from galim.quadforms import QuadForm, _reduce
 
 
 def divisors(n: int) -> list[int]:
@@ -79,6 +79,33 @@ def representation_counts(form, bound: int) -> np.ndarray:
     vals = a * xx * xx + b * xx * yy + c * yy * yy
     mask = (vals >= 1) & (vals <= bound)
     return np.bincount(vals[mask], minlength=bound + 1)
+
+
+def discriminant(form) -> int:
+    return form.b * form.b - 4 * form.a * form.c
+
+
+def principal_form(d: int) -> QuadForm:
+    """The form of the identity class of discriminant d."""
+    return QuadForm(1, 1, (1 - d) // 4)
+
+
+def positive_definite(form) -> QuadForm:
+    """form itself, once it is checked positive definite."""
+    if form.a <= 0 or discriminant(form) >= 0:
+        raise ValueError(f"not a positive definite form: {form}")
+    return form
+
+
+def reduce_form(form) -> QuadForm:
+    """The reduced form of the class of a positive definite form, by the
+    library's reduction step."""
+    return _reduce(*positive_definite(form))
+
+
+def exponents_of(grp, form) -> tuple[int, ...]:
+    """The exponents of form's class on the generators of grp."""
+    return grp.dlog[reduce_form(form)]
 
 
 def reduced_forms_oracle(d: int) -> tuple:

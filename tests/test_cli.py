@@ -7,6 +7,7 @@ console-script test confirms the installed entry point end to end.
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import random
 import shutil
@@ -15,7 +16,9 @@ import sys
 import time
 import typing
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -323,7 +326,7 @@ def json_oracle(payload) -> str:
 
 def write_json(payload) -> str:
     out = []
-    cli._write_json(payload, "", out)
+    cli._write_json(payload, "", out, {})
     return "".join(out)
 
 
@@ -343,7 +346,8 @@ json_payloads = st.recursive(
 
 
 class TestJsonWriter:
-    """``cli._write_json`` against ``json.dumps(..., sort_keys=True, indent=2)``."""
+    """``cli._write_json`` on JSON-ready payloads against
+    ``json.dumps(..., sort_keys=True, indent=2)``."""
 
     @given(json_payloads)
     @example({"": [], "b": {}, "a": [True, 1, False, 0, None, -0.0, 1e16, 0.1, float("nan")]})
@@ -367,6 +371,134 @@ class TestJsonWriter:
         rc, out, err = invoke(argv + ["--format", "json"], capsys)
         assert rc == 0, err
         assert out == want
+
+
+def _bench_workloads():
+    # the benchmark's input generator: standard library only, no galim
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _scan_argvs(seed: int) -> list[list[str]]:
+    """Every ``scan`` command line of the benchmark's scan workloads at seed."""
+    workloads = _bench_workloads()
+    return [
+        list(inv.argv)
+        for workload in ("scan-witness", "scan-bernoulli")
+        for inv in workloads.make_invocations(workload, seed, {})
+        if inv.argv[0] == "scan"
+    ]
+
+
+cyclo_values = st.integers(1, 15).flatmap(
+    lambda m: st.builds(CycloValue, st.just(m), st.lists(st.integers(-9, 9), max_size=m))
+)
+writer_scalars = (
+    report_scalars
+    | cyclo_values
+    | st.sampled_from([-0.0, float("nan"), float("inf"), 1e16, 0.1, "\u00e9\n"])
+)
+# a CycloValue repeated at several depths: the writer keeps one text per
+# value and indent
+repeated_values = cyclo_values.map(lambda v: [v, (v, [v]), {"k": v, 7: [v, v]}])
+writer_objects = st.recursive(
+    writer_scalars | repeated_values,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.sampled_from([(), [], {}])
+        | st.dictionaries(st.text(max_size=3) | st.integers(-3, 3) | st.booleans(), inner, max_size=4)
+        | st.builds(Leaf, st.integers(), st.fractions(), cyclo_values)
+        | st.builds(Node, inner, inner)
+        | st.builds(
+            cli.ReportEnvelope,
+            st.text(max_size=3),
+            st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            st.lists(inner, max_size=3),
+            st.lists(st.text(max_size=3), max_size=2),
+        )
+    ),
+    max_leaves=25,
+)
+
+
+def report_oracle(obj) -> str:
+    return json.dumps(serialize_oracle(obj), sort_keys=True, indent=2)
+
+
+class TestReportWriter:
+    """``cli._write_json`` on the report objects themselves, against
+    ``json.dumps`` of the isinstance-chain oracle's tree."""
+
+    @given(writer_objects)
+    @example({1: "int", "1": "str", (): None, "": [(), [], {}, frozenset()]})
+    @example(Node(CycloValue.zeta(4, 5), [CycloValue.zeta(4), Leaf(-1, Fraction(-1, 3), CycloValue(1))]))
+    @example([QuadForm(1, 1, 6), {QuadForm(2, -1, 3): frozenset({True, 0, 2})}, -0.0, float("nan")])
+    def test_matches_json_dumps_of_the_oracle(self, obj):
+        assert write_json(obj) == report_oracle(obj)
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scan_windows_match_json_dumps(self, seed, jobs, capsys):
+        argvs = _scan_argvs(seed)
+        assert {argv[1] for argv in argvs} == set(cli.witness.SCAN_KINDS)
+        for argv in argvs:
+            assert argv[-2:] == ["--format", "json"]
+            args = cli._build_parser().parse_args(argv)
+            want = report_oracle(args.handler(args)) + "\n"
+            assert invoke(argv + ["--jobs", jobs], capsys) == (0, want, ""), argv
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [(np.float64(0.5), "float64"), (np.str_("x"), "str_"), (np.int64(5), "int64"), (object(), "object")],
+    )
+    def test_refuses_what_serialize_refuses(self, value, name):
+        # the last row: keys that collide as strings, and serialize refuses
+        # the value of the one that drops out
+        for obj in (
+            value,
+            [1, value],
+            {"k": (value,)},
+            Node(value, 1),
+            Leaf(1, Fraction(1), value),
+            {1: value, "1": 2},
+        ):
+            env = cli.ReportEnvelope("x", {}, [obj], [])
+            with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+                cli._render(env, "json")
+            with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+                cli.serialize(env)
+
+    def test_names_the_value_serialize_meets_first(self):
+        # serialize walks fields in declaration order (zeta, then alpha), the
+        # writer in key order; the error names the same value either way
+        env = cli.ReportEnvelope("x", {}, [Node(object(), np.float64(0.5))], [])
+        with pytest.raises(TypeError, match="^cannot serialize object$"):
+            cli._render(env, "json")
+
+    def test_scan_hida_json_calls_serialize_never(self, monkeypatch, capsys):
+        # the bytes of this command line are checked by
+        # TestJsonWriter::test_reports_match_json_dumps
+        calls = [0]
+        real = cli.serialize
+
+        def counted(obj):
+            calls[0] += 1
+            return real(obj)
+
+        monkeypatch.setattr(cli, "serialize", counted)
+        # the counter works: the text format builds its tree by serialize
+        assert invoke(["scan", "hida", "--from", "7", "--to", "60"], capsys)[0] == 0
+        assert calls[0] > 0
+        calls[0] = 0
+        rc, out, err = invoke(["scan", "hida", "--from", "7", "--to", "1500", "--format", "json"], capsys)
+        assert (rc, err) == (0, "") and out.startswith('{\n  "command": "scan hida",\n')
+        assert calls[0] == 0
 
 
 class TestScanCli:

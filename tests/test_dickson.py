@@ -630,6 +630,16 @@ class TestClassifyCascade:
         assert rep.group_order == 168
         assert rep.canonical_label == "large-PSL(7)"
 
+    def test_prime_field_pgl_inside_extension(self):
+        # diag(-1, 1) has det -1, a nonsquare mod 7, so it lies outside
+        # PSL2(F7) and the group is PGL2(F7), read in GF(49).  Its trace is
+        # 0, so tr^2/det - 4 = 3 is a nonsquare mod 7 and its projective
+        # order 2 divides (7 + 1)/2: a membership rule built on those two
+        # facts would put it in PSL2(F7) and report 168
+        rep = dickson.classify(mats(F49, (0, 1, 6, 0), (1, 1, 0, 1), (6, 0, 0, 1)))
+        assert rep.group_order == 336
+        assert rep.canonical_label == "large-PGL(7)"
+
     def test_small_characteristic_rejected(self):
         f5 = GFq(5)
         with pytest.raises(ValueError):

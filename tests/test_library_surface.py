@@ -1,10 +1,12 @@
-"""Every public function and class of galim serves the library or the CLI,
-so a route that only the tests call lives in tests/oracles.py instead."""
+"""Every public function, class and class member of galim serves the library
+or the CLI, so a route that only the tests call lives in the tests instead."""
 
 import ast
 import pkgutil
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import galim
 
@@ -20,6 +22,26 @@ ALLOWED = {
     "quadforms.class_number_analytic": "the validated character-sum route to the class number, in the README tour",
 }
 
+# Public methods, properties and classmethods of public classes that no
+# other code in galim reads, each kept on purpose.
+ALLOWED_MEMBERS = {
+    "cyclotomic.CycloValue.to_int": "reads a rational theta coefficient as an int, in the README tour",
+    "cyclotomic.CycloValue.conjugate": (
+        "complex conjugation in Z[zeta_m], the group-ring step of the theta and character oracles of the tests"
+    ),
+    "quadforms.ClassCharacter.value_at": "the character's value on a class, the oracle of the theta series in the tests",
+    "quadforms.QExpansion.coefficient": "a_n by its index, in the README tour",
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    """Every module of galim, parsed, by its name."""
+    root = Path(galim.__path__[0])
+    return {
+        info.name: ast.parse((root / f"{info.name}.py").read_text(encoding="utf-8"))
+        for info in pkgutil.iter_modules(galim.__path__)
+    }
+
 
 def _names(node) -> set[str]:
     """Every name read, attribute taken or name imported under node."""
@@ -34,23 +56,81 @@ def _names(node) -> set[str]:
     return out
 
 
-def test_every_public_definition_has_a_caller_in_galim():
+def _attributes(node) -> Counter:
+    """How many times each attribute name is taken under node."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unreferenced_definitions(trees) -> set[str]:
+    """Public module-level functions and classes that no other top-level
+    statement of galim names."""
     # every top-level statement of every module, with the names it uses
-    statements = []
-    for info in pkgutil.iter_modules(galim.__path__):
-        source = (Path(galim.__path__[0]) / f"{info.name}.py").read_text(encoding="utf-8")
-        statements += [(info.name, node, _names(node)) for node in ast.parse(source).body]
+    statements = [
+        (module, node, _names(node)) for module, tree in trees.items() for node in tree.body
+    ]
     # how many statements use each name; a use in any statement but the
     # definition itself counts, so a result type that its own module builds
     # needs no caller elsewhere
     uses = Counter(name for _, _, names in statements for name in names)
-    unreferenced = {
+    return {
         f"{module}.{node.name}"
         for module, node, names in statements
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and uses[node.name] == (node.name in names)
     }
+
+
+def unreferenced_members(trees) -> set[str]:
+    """Public methods, properties and classmethods of public classes whose
+    name galim never takes as an attribute outside their own body.  Members
+    are matched by name alone, so a member that shares its name with an
+    attribute read elsewhere counts as used."""
+    uses = sum((_attributes(tree) for tree in trees.values()), Counter())
+    return {
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and uses[node.name] == _attributes(node)[node.name]
+    }
+
+
+def test_every_public_definition_has_a_caller_in_galim():
     # equality, not inclusion: an entry whose name gained a caller, or was
     # deleted, leaves the list too
-    assert unreferenced == set(ALLOWED)
+    assert unreferenced_definitions(_trees()) == set(ALLOWED)
+
+
+def test_every_public_member_has_a_caller_in_galim():
+    assert unreferenced_members(_trees()) == set(ALLOWED_MEMBERS)
+
+
+def _public_classes():
+    return [
+        (module, node.name)
+        for module, tree in sorted(_trees().items())
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("module, cls", _public_classes())
+def test_guard_names_unused_members_added_to_any_class(module, cls):
+    # the mutant: a method, a property, a classmethod and a staticmethod
+    # that nothing calls
+    trees = _trees()
+    (target,) = [n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == cls]
+    probes = {
+        "probe_method": "",
+        "probe_property": "@property",
+        "probe_classmethod": "@classmethod",
+        "probe_static": "@staticmethod",
+    }
+    for name, decorator in probes.items():
+        target.body += ast.parse(f"{decorator}\ndef {name}(self):\n    return 0").body
+    added = {f"{module}.{cls}.{name}" for name in probes}
+    assert unreferenced_members(trees) == set(ALLOWED_MEMBERS) | added
