@@ -4,7 +4,6 @@ and the memory of a large order."""
 
 import hashlib
 import math
-import os
 import pickle
 import random
 import subprocess
@@ -302,20 +301,39 @@ class TestObjectProtocol:
             CycloValue(3, [1, 2, 3, 4])
 
 
+# the child's own peak resident set, VmHWM in KiB, written to stderr after
+# the child's code: ru_maxrss from wait4 would also count the peak of this
+# process, which a child started by fork and exec carries over
+_REPORT_PEAK = """
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    sys.stderr.write([line for line in status if line.startswith("VmHWM:")][0])
+"""
+
+
+def _run_with_peak(code, *args):
+    """stdout and peak resident KiB of a child that runs ``code`` with argv
+    ``args``."""
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code + _REPORT_PEAK, *args], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, int(proc.stderr.splitlines()[-1].split()[1])
+
+
 class TestLargeOrder:
     def test_witness_at_order_14245_in_bounded_memory(self):
         # h(-99999959) = 14245 is the order of the character, and the theta
         # head reaches exponents far above phi(14245) = 8640: a table of the
         # rows x^k mod Phi_m would hold 48 million ints, about 400 MB
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "galim.cli", "witness", "hida", "-p", "99999959"],
-            stdout=subprocess.PIPE,
+        out, peak = _run_with_peak(
+            "from galim.cli import main\nassert main(sys.argv[1:]) == 0", "witness", "hida", "-p", "99999959"
         )
-        with proc.stdout:
-            out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
         assert hashlib.md5(out).hexdigest() == "f2f6bc730935ba0cf3c2afc9e8de0b60"
-        # ru_maxrss is in KiB on Linux
-        assert usage.ru_maxrss < 100 * 1024, usage.ru_maxrss
+        assert peak < 100 * 1024, peak
+
+    def test_peak_is_the_childs_own(self):
+        # a child that holds 120 MB reads above the 100 MiB bound, and one
+        # that holds nothing reads below 40 MiB, whatever this process holds
+        _, peak = _run_with_peak("import numpy as np\nheld = np.ones(15_000_000)")
+        assert peak > 100 * 1024, peak
+        _, peak = _run_with_peak("")
+        assert peak < 40 * 1024, peak
