@@ -4,16 +4,16 @@ The Bernoulli table comes from Newton inversion of a power series to half
 its length and one Karp-Markstein quotient step; its factorials and series
 coefficients are index lookups into the powers of a primitive root, with no
 loop of length p in Python.  Its polynomial products take one of two routes.
-Products of two operands of at least ``_FFT_MIN_TERMS`` terms go through a
-float64 FFT of balanced residues whenever Percival's error bound proves
-that rounding gives the exact integer product, as it does for every such
-product of a table up to p = 37423; a run-time guard raises
-``InternalInconsistencyError`` if a coefficient ever lands more than 1/8
-from an integer.  Short operands, and products beyond the bound, go by
-Kronecker substitution on Python ints, in 4-byte slots when the
-coefficient bound fits them and in slots of as few bytes as it needs above.
-The O(p^2) convolution, and the Newton route with Python-loop factorials
-and 64-bit slots, are kept in the tests as its oracles.
+A product whose shorter operand has fewer than ``_FFT_MIN_TERMS`` terms,
+and whose coefficients stay below 2^63, is one int64 ``np.convolve``.
+Every other product goes through a float64 FFT of the residues split into
+d balanced digits, with the least d for which Percival's error bound proves
+that rounding gives the exact integer product: d = 1 covers every such
+product of a table up to p = 37423, and d = 2 every one up to 4194301.  A
+run-time guard raises ``InternalInconsistencyError`` if a coefficient ever
+lands more than 1/8 from an integer.  The O(p^2) convolution, the Newton
+route with Python-loop factorials and 64-bit Kronecker slots, and a
+schoolbook product are kept in the tests as its oracles.
 
 In the library only ``arith`` imports this module and reads the array that
 ``bernoulli_table_mod`` returns; numpy stays inside this module, ``arith``
@@ -137,14 +137,12 @@ def _powers(g: int, p: int) -> np.ndarray:
     return table.ravel()[: p - 1]
 
 
-# Below this many terms on the shorter side, the one C multiply of the
-# Kronecker route beats the two FFT calls, which cost 50-60 us inside a
-# table whatever the length: at p = 601, 150 x 150 terms took 40 us by
-# Kronecker and 60 by FFT.  Whole tables, interleaved in one process, put
-# the crossover here: at 128 those with 509 <= p <= 709 took 13-20% longer
-# than by Kronecker alone, at 192 none did, and at 256 the tables with
-# 811 <= p <= 1013 lost the 10% that 192 saves
-_FFT_MIN_TERMS = 192
+# Below this many terms on the shorter side, one int64 np.convolve beats the
+# two FFT calls, which cost 40-60 us inside a table whatever the length.
+# Whole tables, interleaved in one process, put the crossover here: against
+# 192, the tables with 829 <= p <= 1009 took 5-15% less, and those with
+# 1087 <= p <= 1993 moved by no more than the noise (2-4%)
+_FFT_MIN_TERMS = 256
 
 
 # private so that the per-layer trace, which wraps public names only, keeps
@@ -153,99 +151,93 @@ def _mul_mod(a, b, p: int, n: int) -> np.ndarray:
     """First n coefficients of a*b mod p, as uint64, for residue sequences a
     and b, zero-padded beyond len a + len b - 1.
 
-    Two routes give the same array.  When both operands have at least
-    ``_FFT_MIN_TERMS`` terms and ``_fft_is_exact`` proves that a float64 FFT
-    rounds to the exact product, the product comes from ``_fft_mul_mod``,
-    in about L log L; that covers every long product of a table up to
-    p = 37423.  Short operands and products beyond the bound go by
-    Kronecker substitution, ``_kronecker_mul_mod``, in about L^1.58.
-    """
-    la, lb = min(len(a), n), min(len(b), n)
-    if min(la, lb) >= _FFT_MIN_TERMS and _fft_is_exact(la, lb, p):
-        return _fft_mul_mod(a, b, p, n)
-    return _kronecker_mul_mod(a, b, p, n)
-
-
-def _fft_is_exact(la: int, lb: int, p: int) -> bool:
-    """Whether a float64 FFT product of la and lb balanced residues mod p
-    lands within 1/8 of the exact integer product.
-
-    With |x| <= X = (p-1)/2 and a length N = 2^k >= la + lb - 1, Percival's
-    bound (Math. Comp. 72, 2003) on the error of every coefficient is
-    ||a||_2 ||b||_2 ((1+e)^3k (1+e sqrt 5)^(3k+1) (1+beta)^3k - 1), with
-    e = 2^-53 and the error beta of the roots of unity at most e; that is
-    below E = sqrt(la lb) X^2 2^-53 (16k + 3).  E <= 1/8 is tested in
-    integers, as la lb X^4 (16k + 3)^2 <= 2^100.
-    """
-    k = (la + lb - 2).bit_length()
-    x = (p - 1) // 2
-    return la * lb * x**4 * (16 * k + 3) ** 2 <= 1 << 100
-
-
-def _fft_mul_mod(a, b, p: int, n: int) -> np.ndarray:
-    """``_mul_mod`` by a real FFT in float64, for operands that
-    ``_fft_is_exact`` admits.
-
-    The residues are taken balanced, in [-(p-1)/2, (p-1)/2], the product is
-    irfft(rfft(a) rfft(b)) at the least power-of-two length that holds it,
-    and each coefficient is rounded to the nearest integer.  The bound puts
-    every coefficient within 1/8 of an integer; a larger distance raises
-    ``InternalInconsistencyError`` instead of returning a table.
-    ``np.fft`` is reached by attribute, so numpy loads it only when a table
-    needs it.
+    A product whose shorter operand has fewer than ``_FFT_MIN_TERMS`` terms,
+    and whose coefficients, at most min(len a, len b)(p-1)^2, stay below
+    2^63, is one int64 ``np.convolve``; every other one goes by
+    ``_fft_mul_mod`` in the least d digits that ``_fft_is_exact`` admits.
     """
     a, b = a[:n], b[:n]
-    size = len(a) + len(b) - 1
-    length = 1 << (size - 1).bit_length()
-    # both operands in one array, so one rfft call transforms them
-    pair = np.zeros((2, length))
-    pair[0, : len(a)] = a
-    pair[1, : len(b)] = b
-    np.subtract(pair, p, out=pair, where=pair > (p - 1) // 2)
-    fa, fb = np.fft.rfft(pair)
-    prod = np.fft.irfft(fa * fb, length)[:n]
+    la, lb = len(a), len(b)
+    if min(la, lb) < _FFT_MIN_TERMS and min(la, lb) * (p - 1) ** 2 < 1 << 63:
+        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))[:n] % p
+        return (np.pad(out, (0, n - len(out))) if n > len(out) else out).view(np.uint64)
+    d = 1
+    while not _fft_is_exact(la, lb, p, d):
+        d += 1
+    return _fft_mul_mod(a, b, p, n, d)
+
+
+def _digit_bits(p: int, d: int) -> int:
+    """The bits s of each of d balanced digits of a residue mod p: the least
+    s with d s > bitlen((p-1)/2), so that no digit exceeds 2^(s-1) in size."""
+    return -(-(((p - 1) // 2).bit_length() + 1) // d)
+
+
+def _fft_is_exact(la: int, lb: int, p: int, d: int) -> bool:
+    """Whether a float64 FFT product of la and lb residues mod p, split into
+    d digits by ``_fft_mul_mod``, lands within 1/8 of the exact integer
+    product in every row.
+
+    No digit exceeds X = min((p-1)/2, 2^(s-1)), s from ``_digit_bits``.  For
+    a length N = 2^k >= la + lb - 1, Percival's bound (Math. Comp. 72, 2003)
+    on the error of a digit product is ||x||_2 ||y||_2 ((1+e)^3k
+    (1+e sqrt 5)^(3k+1) (1+beta)^3k - 1), with e = 2^-53 and the error beta
+    of the roots of unity at most e: below sqrt(la lb) X^2 2^-53 (16k + 3),
+    whose margin over the first-order (12.8k + 2.3) e covers the d - 1
+    additions of a row that sums d products.  E = d sqrt(la lb) X^2 2^-53
+    (16k + 3) <= 1/8 is tested in integers, as d^2 la lb X^4 (16k + 3)^2 <=
+    2^100.
+    """
+    k = (la + lb - 2).bit_length()
+    x = min((p - 1) // 2, 1 << _digit_bits(p, d) - 1)
+    return d * d * la * lb * x**4 * (16 * k + 3) ** 2 <= 1 << 100
+
+
+def _fft_mul_mod(a, b, p: int, n: int, d: int) -> np.ndarray:
+    """``_mul_mod`` by a real float64 FFT on d digits, for operands that
+    ``_fft_is_exact`` admits.
+
+    The residues, taken in [-(p-1)/2, (p-1)/2], are split into d balanced
+    digits of s bits, x = sum_i x_i 2^(si).  One rfft transforms the 2d digit
+    rows; the 2d - 1 rows of digit products, sum_{i+j=k} a_i b_j, are formed
+    in the spectrum, and one irfft returns them.  Each is rounded, reduced
+    mod p and recombined with 2^s mod p.  A coefficient farther than 1/8 from
+    an integer raises ``InternalInconsistencyError``.  ``np.fft`` is reached
+    by attribute, so numpy loads it only when a table needs it.
+    """
+    a, b = a[:n], b[:n]
+    # the least power of two that holds the product
+    length = 1 << (len(a) + len(b) - 2).bit_length()
+    s = _digit_bits(p, d)
+    # the digits of both operands in one array, so one rfft transforms them;
+    # float64 holds every digit and every step of the split exactly
+    rows = np.zeros((2, d, length))
+    rows[0, 0, : len(a)] = a
+    rows[1, 0, : len(b)] = b
+    np.subtract(rows, p, out=rows, where=rows > (p - 1) // 2)
+    for i in range(1, d):
+        # the low s bits stay, in [-2^(s-1), 2^(s-1)], and the rest moves up
+        # a row; the last row is at most 2^(s-1) in size, as d s exceeds
+        # bitlen((p-1)/2)
+        rows[:, i] = np.rint(rows[:, i - 1] / (1 << s))
+        rows[:, i - 1] -= rows[:, i] * (1 << s)
+    fa, fb = np.fft.rfft(rows)
+    spec = fa[0] * fb
+    for i in range(1, d):
+        # a_i b_j goes to row i + j, and row i + d - 1 is new
+        spec = np.vstack([spec, np.zeros_like(fb[0])])
+        spec[i:] += fa[i] * fb
+    del rows, fa, fb  # freed before the inverse transform
+    prod = np.fft.irfft(spec, length)[:, :n]
     exact = np.rint(prod)
     if np.abs(prod - exact).max() > 0.125:
         from .arith import InternalInconsistencyError
 
         raise InternalInconsistencyError(f"FFT product mod {p} strays from the integers")
-    out = (exact.astype(np.int64) % p).view(np.uint64)
+    rows = exact.astype(np.int64) % p
+    out = rows[-1]
+    for row in rows[-2::-1]:
+        out = (out * pow(2, s, p) + row) % p
+    out = out.view(np.uint64)
     # the coefficients past the transform length are zero
     return np.pad(out, (0, n - length)) if n > length else out
-
-
-def _kronecker_mul_mod(a, b, p: int, n: int) -> np.ndarray:
-    """``_mul_mod`` by Kronecker substitution on Python ints.
-
-    A coefficient of the exact product is at most min(len a, len b)(p-1)^2.
-    When that bound fits 4 bytes, as it does for every product of a table at
-    p <= 2579, a and b are packed in 4-byte slots and the product is read
-    back as one uint32 array.  A wider bound gets slots of w = ceil(bitlen/8)
-    bytes, read back as one 64-bit word up to w = 8 and as two 64-bit limbs
-    beyond, up to p < 2^31.
-    """
-    a, b = a[:n], b[:n]
-    w = -(-(min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8)
-    size = max(len(a) + len(b) - 1, n)
-    if w <= 4:
-        prod = int.from_bytes(np.asarray(a, dtype="<u4").tobytes(), "little")
-        prod *= int.from_bytes(np.asarray(b, dtype="<u4").tobytes(), "little")
-        return np.frombuffer(prod.to_bytes(4 * size, "little"), dtype="<u4", count=n) % np.uint64(p)
-    a = np.ascontiguousarray(a, dtype="<u8")
-    b = np.ascontiguousarray(b, dtype="<u8")
-    limbs = 1 if w <= 8 else 2
-    prod = _pack(a, w) * _pack(b, w)
-    slots = np.zeros((n, 8 * limbs), dtype=np.uint8)
-    slots[:, :w] = np.frombuffer(prod.to_bytes(size * w, "little"), dtype=np.uint8, count=n * w).reshape(n, w)
-    out = slots.view("<u8") % p
-    if limbs == 1:
-        return out.ravel()
-    return (out[:, 1] * ((1 << 64) % p) + out[:, 0]) % p
-
-
-def _pack(a: np.ndarray, w: int) -> int:
-    """The integer whose little-endian w-byte slots hold a."""
-    rows = a.view(np.uint8).reshape(-1, 8)
-    if w > 8:
-        rows = np.pad(rows, ((0, 0), (0, w - 8)))
-    return int.from_bytes(rows[:, :w].tobytes(), "little")
