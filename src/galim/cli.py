@@ -6,8 +6,8 @@ output is byte-stable (sorted keys, exact integers, rationals as "num/den",
 cyclotomic integers as coefficient lists tagged with their order), and is
 written straight from the report objects, each distinct cyclotomic value
 formatted once; the text and CSV formats are made from the tree that
-``serialize`` builds.  CSV is
-offered only for ``scan``, whose items are flat rows.  Exit codes: 0 on
+``serialize`` builds.  Every format is written a megabyte at a time.  CSV
+is offered only for ``scan``, whose items are flat rows.  Exit codes: 0 on
 success, 2 on domain errors (regular prime, trivial class group), 1 on usage
 errors.  ``--format`` and ``--out`` belong to the leaf command, so they go
 after its last word (``galim witness borel -p 37 --format json``); placed
@@ -391,6 +391,17 @@ def _write_members(members: list, indent: str, out: list[str], cyclo: dict) -> N
     out.append("\n" + indent + "}")
 
 
+# Characters of a report per write: a stream encodes each write whole, so one
+# write of a large report would hold it a second time as bytes, while a
+# report shorter than this, as most are, still goes out in one write
+_WRITE_SLICE = 1 << 20
+
+
+def _write_text(stream, text: str) -> None:
+    for i in range(0, len(text), _WRITE_SLICE):
+        stream.write(text[i : i + _WRITE_SLICE])
+
+
 def _render(env: ReportEnvelope, fmt: str) -> str:
     """The report in one of the three formats.  JSON is written straight
     from the report objects; text and csv are made from ``serialize(env)``."""
@@ -522,13 +533,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+                _write_text(fh, rendered)
         except OSError as exc:
             reason = exc.strerror or exc
             print(f"usage error: cannot write --out {args.out}: {reason}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(rendered)
+        _write_text(sys.stdout, rendered)
     return 0
 
 

@@ -12,6 +12,7 @@ in a single sweep over the powers of x, keeping no table of them.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .arith import CACHE_MAXSIZE, factorize, totient
@@ -87,20 +88,33 @@ def _remainders(m: int, vectors) -> list[list[int]]:
 class CycloValue:
     """An element of Z[zeta_m].  ``coeffs`` is its remainder mod Phi_m,
     zero-padded to length m; the constructor reduces a vector of length at
-    most m only when it has an entry at or above phi(m)."""
+    most m only when it has an entry at or above phi(m).  Coefficients are
+    taken through ``operator.index``, so bools and numpy integers are
+    accepted and floats, fractions and decimals refused with a TypeError."""
 
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs=()):
         if m < 1:
             raise ValueError("CycloValue needs order m >= 1")
-        vec = list(map(int, coeffs))
+        vec = list(map(operator.index, coeffs))
         if len(vec) > m:
             raise ValueError("coefficient vector longer than the order")
         if any(vec[len(cyclotomic_poly(m)) - 1 :]):
             (vec,) = _remainders(m, [enumerate(vec)])
+        self._store(m, vec)
+
+    def _store(self, m: int, rem) -> None:
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(vec) + (0,) * (m - len(vec)))
+        object.__setattr__(self, "coeffs", tuple(rem) + (0,) * (m - len(rem)))
+
+    @classmethod
+    def _from_remainder(cls, m: int, rem) -> "CycloValue":
+        """The value whose remainder mod Phi_m is rem: the phi(m) exact ints
+        ``_remainders`` returns for one vector, taken unchecked."""
+        self = object.__new__(cls)
+        self._store(m, rem)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloValue is immutable")

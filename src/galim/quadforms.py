@@ -49,12 +49,15 @@ from .cyclotomic import CycloValue, _remainders
 # pass starts.
 ANALYTIC_MAX_P = 10**8
 # The character sum squares a in blocks of this many int64 values, so it
-# allocates at most about 16 MB at any p; every p < 2^21 is one block.
-_SQUARE_BLOCK = 1 << 20
-# Largest bound theta_coefficients accepts.  Its coefficients cost about
-# 1 KB each: ``galim theta -p 23 --coeffs 100000`` peaks at 132 MB and takes
-# 2.1 s as a whole process on a 2-vCPU x86 host, and 10^6 would take over a
-# gigabyte.
+# allocates about 1.5 MB at any p (two blocks and a mask, which stay in a
+# core's L2 cache); every p < 2^17 is one block.  The size was measured: on
+# a 2-vCPU x86 host with 2 MB of L2 per core, p = 99999959 took 123-130 ms in
+# blocks of 2^16, 124-138 ms at 2^15, 132-153 ms at 2^14 and 207 ms at 2^20.
+_SQUARE_BLOCK = 1 << 16
+# Largest bound theta_coefficients accepts.  A report costs about 1 KB per
+# coefficient: ``galim theta -p 23 --coeffs 100000`` peaks at 124 MB resident
+# and takes 1.0 s as a whole process on a 2-vCPU x86 host, and 10^6 would
+# take over a gigabyte.
 THETA_MAX_BOUND = 10**5
 
 
@@ -201,13 +204,16 @@ def class_number_analytic(d: int) -> int:
 
 def _character_sum_class_number(p: int) -> int:
     """``class_number_analytic`` for a p its callers have validated, with
-    the squares taken ``_SQUARE_BLOCK`` at a time."""
+    the squares taken ``_SQUARE_BLOCK`` at a time and reduced mod p as
+    a^2 - (a^2 // p) * p, which numpy runs faster than its ``%``."""
     n = (p - 1) // 2
     r = 0
     for lo in range(1, n + 1, _SQUARE_BLOCK):
         sq = np.arange(lo, min(lo + _SQUARE_BLOCK, n + 1), dtype=np.int64)
         sq *= sq
-        sq %= p
+        q = sq // p
+        q *= p
+        sq -= q
         r += int(np.count_nonzero(sq <= n))
     total = 2 * r - n
     denom = 2 - kronecker(2, p)
@@ -526,7 +532,8 @@ class QExpansion:
     """Leading q-expansion coefficients of a class-group theta series.
 
     ``coefficients[n]`` is a_n as an exact cyclotomic integer of order
-    ``char_order``; index 0 is unused and set to zero.
+    ``char_order``; index 0 is unused and set to zero.  Equal coefficients
+    are one shared, immutable value.
     """
 
     discriminant: int
@@ -548,9 +555,14 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
     sum of zeta^((2i-e)k) over the e+1 ideals P^i Pbar^(e-i), 0 <= i <= e.
     Each a_n is kept as a sparse histogram {exponent: ideal count} over the
     ideals of norm n, the local histogram times that of a_(n / l^e), so it
-    costs about (ideals of norm n) operations.  The histograms are the raw
-    vectors of the a_n, and one sweep of ``cyclotomic._remainders`` takes them
-    all to their remainders mod Phi_m at the end.  l is read
+    costs about (ideals of norm n) operations.  An a_n that is zero, or that
+    equals a_(n / l^e) (inert l at even e, the ramified prime at a shift of
+    0), reuses that histogram without building one, and a built histogram
+    equal to an earlier one is kept once.  The distinct histograms are the
+    raw vectors of the a_n, and one sweep of ``cyclotomic._remainders``
+    takes them to their remainders mod Phi_m at the end.  Repeated
+    coefficients are shared: each distinct remainder becomes one
+    ``CycloValue``, the same object at every n where it occurs.  l is read
     from a least-prime-factor table of 0..bound, built once per call, and
     bound above ``THETA_MAX_BOUND`` is refused before anything is built.
     Each prime's class (``_prime_class``) and its character exponent k are
@@ -571,7 +583,11 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
         lpf[q * q :: q] = [q] * ((bound - q * q) // q + 1)
     # l -> k, or None for inert l
     powers: dict[int, int | None] = {}
-    hists: list[dict[int, int]] = [{}, {0: 1}]
+    # a_n is the histogram distinct[slots[n]]: each distinct histogram is
+    # kept once, under its sorted items in slot_of, and never changed after
+    distinct: list[dict[int, int]] = [{}, {0: 1}]
+    slot_of: dict[tuple[tuple[int, int], ...], int] = {(): 0, ((0, 1),): 1}
+    slots = [0, 1]
     for n in range(2, bound + 1):
         ell = lpf[n]
         rest = n // ell
@@ -583,21 +599,36 @@ def theta_coefficients(d: int, char: ClassCharacter, bound: int) -> QExpansion:
             f = _prime_class(d, ell)
             powers[ell] = None if f is None else char._power(grp.dlog[f])
         k = powers[ell]
-        local: dict[int, int] = {}
-        if k is None:
-            if e % 2 == 0:
-                local[0] = 1
-        elif ell == -d:
-            local[e * k % m] = 1
+        slot = slots[rest]
+        if slot == 0 or (k is None and e % 2):
+            slots.append(0)
+            continue
+        if k is None or (ell == -d and e * k % m == 0):
+            slots.append(slot)
+            continue
+        base = distinct[slot]
+        if ell == -d:
+            shift = e * k
+            hist = {(shift + b) % m: y for b, y in base.items()}
         else:
+            hist = {}
             for i in range(e + 1):
-                t = (2 * i - e) * k % m
-                local[t] = local.get(t, 0) + 1
-        hist: dict[int, int] = {}
-        for a, x in local.items():
-            for b, y in hists[rest].items():
-                t = (a + b) % m
-                hist[t] = hist.get(t, 0) + x * y
-        hists.append(hist)
-    coeffs = tuple(CycloValue(m, rem) for rem in _remainders(m, [hist.items() for hist in hists]))
+                shift = (2 * i - e) * k
+                for b, y in base.items():
+                    t = (shift + b) % m
+                    hist[t] = hist.get(t, 0) + y
+        key = tuple(sorted(hist.items()))
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(distinct)
+            distinct.append(hist)
+        slots.append(slot)
+    # one value per distinct remainder: CycloValue is immutable, so equal
+    # a_n share one object
+    values: dict[tuple[int, ...], CycloValue] = {}
+    made = []
+    for rem in _remainders(m, [hist.items() for hist in distinct]):
+        value = CycloValue._from_remainder(m, rem)
+        made.append(values.setdefault(value.coeffs, value))
+    coeffs = tuple([made[slot] for slot in slots])
     return QExpansion(d, char.exponents, m, coeffs)

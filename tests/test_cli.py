@@ -649,6 +649,24 @@ class TestOutputFile:
                 assert rc == 0 and out == "" and err == ""
                 assert target.read_text(encoding="utf-8") == direct
 
+    def test_reports_longer_than_a_slice_keep_their_bytes(self, tmp_path, capsys, monkeypatch):
+        # 7 characters a write, so every report here takes many, and some
+        # end in a short one
+        argvs = [["theta", "-p", "23", "--coeffs", "12"], ["scan", "lr", "--from", "7", "--to", "60"]]
+        wants = {}
+        for argv in argvs:
+            for fmt in ("text", "json"):
+                wants[fmt, tuple(argv)] = invoke(argv + ["--format", fmt], capsys)
+        assert any(len(out) % 7 for _, out, _ in wants.values())
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+        for (fmt, argv), want in wants.items():
+            assert len(want[1]) > 100 * 7
+            assert invoke(list(argv) + ["--format", fmt], capsys) == want
+            target = tmp_path / f"report.{fmt}"
+            rc, out, err = invoke(list(argv) + ["--format", fmt, "--out", str(target)], capsys)
+            assert (rc, out, err) == (0, "", "")
+            assert target.read_text(encoding="utf-8") == want[1]
+
 
 class TestParserReuse:
     """``main`` builds its parser on the first call and reuses it after."""

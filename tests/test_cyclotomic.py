@@ -8,8 +8,11 @@ import pickle
 import random
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -300,6 +303,42 @@ class TestObjectProtocol:
         with pytest.raises(ValueError):
             CycloValue(3, [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("bad", [0.99, 1.0, Fraction(7, 2), Fraction(2), Decimal("3"), np.float64(2.0)])
+    def test_refuses_coefficients_that_are_not_integers(self, bad):
+        # int() would truncate 0.99 to 0 and 7/2 to 3; integral ones are
+        # refused as well, whatever their value
+        with pytest.raises(TypeError):
+            CycloValue(5, [bad])
+        with pytest.raises(TypeError):
+            CycloValue(3, [1, 2, bad])
+
+    def test_takes_bools_and_numpy_integers_as_exact_ints(self):
+        coeffs = [True, np.int64(-2), np.uint8(7), np.int32(2**20), False]
+        v = CycloValue(7, coeffs)
+        assert v.coeffs == (1, -2, 7, 2**20, 0, 0, 0)
+        assert all(type(c) is int for c in v.coeffs)
+        # reduced through x^5 + x^4 + x^3 + x^2 + x + 1 = 0 too
+        w = CycloValue(7, np.arange(7, dtype=np.int64))
+        assert w.coeffs == canonical_oracle(7, list(range(7)))
+        assert all(type(c) is int for c in w.coeffs)
+
+    @settings(max_examples=40)
+    @given(raw_vectors(st.integers(1, 60)))
+    @example((1, [5]))
+    @example((2, [3, -4]))
+    @example((9, [0] * 8 + [1]))
+    @example((30, [(-1) ** k * k for k in range(30)]))
+    @example((105, [1] * 105))
+    def test_from_remainder_equals_the_checking_constructor(self, raw):
+        m, vec = raw
+        (rem,) = _remainders(m, [enumerate(vec)])
+        v = CycloValue._from_remainder(m, rem)
+        w = CycloValue(m, rem)
+        assert (v.m, v.coeffs) == (w.m, w.coeffs) and v == w and hash(v) == hash(w)
+        assert v.coeffs == canonical_oracle(m, vec)
+        with pytest.raises(AttributeError):
+            v.m = m
+
 
 # the child's own peak resident set, VmHWM in KiB, written to stderr after
 # the child's code: ru_maxrss from wait4 would also count the peak of this
@@ -320,14 +359,27 @@ def _run_with_peak(code, *args):
 
 
 class TestLargeOrder:
-    def test_witness_at_order_14245_in_bounded_memory(self):
+    @pytest.mark.parametrize(
+        "fmt, md5",
+        [("text", "f2f6bc730935ba0cf3c2afc9e8de0b60"), ("json", "85da8a4681ea05e54a0b9c4ee6192543")],
+        ids=["text", "json"],
+    )
+    def test_witness_at_order_14245_in_bounded_memory(self, fmt, md5):
         # h(-99999959) = 14245 is the order of the character, and the theta
         # head reaches exponents far above phi(14245) = 8640: a table of the
-        # rows x^k mod Phi_m would hold 48 million ints, about 400 MB
+        # rows x^k mod Phi_m would hold 48 million ints, about 400 MB.  The
+        # json report is 21.6 MB, and written in one call, which encodes it
+        # whole, it held 110 MB
         out, peak = _run_with_peak(
-            "from galim.cli import main\nassert main(sys.argv[1:]) == 0", "witness", "hida", "-p", "99999959"
+            "from galim.cli import main\nassert main(sys.argv[1:]) == 0",
+            "witness",
+            "hida",
+            "-p",
+            "99999959",
+            "--format",
+            fmt,
         )
-        assert hashlib.md5(out).hexdigest() == "f2f6bc730935ba0cf3c2afc9e8de0b60"
+        assert hashlib.md5(out).hexdigest() == md5
         assert peak < 100 * 1024, peak
 
     def test_peak_is_the_childs_own(self):

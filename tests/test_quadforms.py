@@ -386,7 +386,7 @@ class TestClassNumber:
         assert peak < 1 << 20
 
     def test_analytic_route_squares_in_blocks(self):
-        # an admissible p just under the limit: 48 blocks of
+        # an admissible p just under the limit: 763 blocks of
         # squares, where one array of all (p-1)/2 of them took 429 MB
         p = 99999959
         assert p <= qf.ANALYTIC_MAX_P and p % 4 == 3 and is_prime(p)
@@ -909,6 +909,8 @@ class TestTheta:
         [
             (23, 1, 1),  # a_1 alone
             (23, 2, 529),  # 23^2: the ramified prime squared
+            (23, 0, 529),  # the trivial character: m = 1, every shift 0
+            (47, 0, 128),  # 2^7 split, under the trivial character
             (31, 1, 121),  # 11^2, 11 inert
             (47, 3, 128),  # 2^7, 2 split
             (59, 1, 243),  # 3^5, with 2 inert
@@ -924,6 +926,47 @@ class TestTheta:
         oracle = theta_oracle(-p, char, bound)
         assert len(theta.coefficients) == bound + 1
         assert [v.coeffs for v in theta.coefficients] == [v.coeffs for v in oracle]
+
+    def test_equal_coefficients_are_one_object(self):
+        for p, index, bound in ((23, 1, 600), (47, 3, 300), (3299, 5, 400), (47, 0, 200)):
+            theta = qf.theta_coefficients(-p, qf.characters(-p)[index], bound)
+            # the first a_n of each value is the one every later equal a_n
+            # is; a_0 is zero, so every zero a_n is a_0 itself
+            first = {}
+            for v in theta.coefficients:
+                assert first.setdefault(v.coeffs, v) is v
+            assert len(first) < bound // 2
+
+    @pytest.mark.parametrize("p,index,bound", [(23, 1, 600), (31, 1, 121), (47, 3, 128), (3299, 5, 200)])
+    def test_reduces_exactly_the_distinct_histograms_once(self, p, index, bound, monkeypatch):
+        # the histogram of a_n counts the ideals of norm n by the exponent k
+        # of the character value zeta^k on their class: r_Q(n) / 2 of them
+        # in the class of each reduced form Q
+        real = qf._remainders
+        calls = []
+
+        def recording(m, vectors):
+            vectors = [list(v) for v in vectors]
+            calls.append([tuple(sorted(v)) for v in vectors])
+            return real(m, vectors)
+
+        d = -p
+        char = qf.characters(d)[index]
+        grp = qf.class_group(d)
+        counts = [(char._power(grp.dlog[q]), representation_counts(q, bound)) for q in qf.reduced_forms(d)]
+        want = set()
+        for n in range(bound + 1):
+            hist = {}
+            for k, r in counts:
+                if r[n]:
+                    hist[k] = hist.get(k, 0) + int(r[n]) // 2
+            want.add(tuple(sorted(hist.items())))
+        monkeypatch.setattr(qf, "_remainders", recording)
+        qf.theta_coefficients(d, char, bound)
+        assert len(calls) == 1
+        (passed,) = calls
+        assert len(set(passed)) == len(passed)
+        assert set(passed) == want
 
     def test_makes_no_factorize_call(self, monkeypatch):
         calls = []
@@ -963,7 +1006,7 @@ class TestTheta:
             qf.theta_coefficients(-23, char47, 10)
 
     def test_bound_above_the_limit_refused_before_any_table(self):
-        # 10^5 coefficients take about 140 MB; the refusal allocates next
+        # 10^5 coefficients take about 124 MB; the refusal allocates next
         # to nothing, even for a bound whose factor table alone would not fit
         char = qf.characters(-23)[1]
         tracemalloc.start()
